@@ -85,6 +85,12 @@ func TestMain(m *testing.M) {
 	if concDir != "" {
 		os.RemoveAll(concDir)
 	}
+	if scanSet != nil {
+		scanSet.Close()
+	}
+	if scanDir != "" {
+		os.RemoveAll(scanDir)
+	}
 	os.Exit(code)
 }
 
@@ -338,6 +344,71 @@ func BenchmarkFig13Concurrent(b *testing.B) {
 				io := e.stats.Snapshot().Sub(mark)
 				b.ReportMetric(float64(b.N*len(queries))/b.Elapsed().Seconds(), "wall-q/s")
 				b.ReportMetric(float64(io.Pages())/float64(b.N), "pages/op")
+			})
+		}
+	}
+}
+
+var (
+	scanOnce sync.Once
+	scanDir  string
+	scanSet  *experiment.Setup
+	scanErr  error
+)
+
+// BenchmarkScanBand runs the three heavy shapes of the repository
+// benchmark's scan_cold workload (bench/README.md) against both
+// configurations at that workload's scale, so result assembly — the fold,
+// the sort and the row arenas behind a ≈ 15 k-point answer — can be profiled
+// from the root module: a 5 % partkey band grouped by {partkey,custkey}
+// (folds the partkey-major replica), a 5 % custkey band grouped by
+// {suppkey,custkey} (folds the top view), and the top view's own rows over a
+// 5 % suppkey band. The pool holds the working set; the miss path has its
+// own benchmarks.
+func BenchmarkScanBand(b *testing.B) {
+	scanOnce.Do(func() {
+		if scanDir, scanErr = os.MkdirTemp("", "cubetree-bench-scan-"); scanErr != nil {
+			return
+		}
+		scanSet, scanErr = experiment.NewSetup(experiment.Params{
+			SF: 0.05, Seed: benchSeed, PoolPages: 4096, Replicas: true, Dir: scanDir,
+		})
+	})
+	if scanErr != nil {
+		b.Fatal(scanErr)
+	}
+	s := scanSet
+	p, su, c := tpcd.AttrPart, tpcd.AttrSupplier, tpcd.AttrCustomer
+	domains := s.Dataset.Domains()
+	band := func(a lattice.Attr, i int) workload.Range {
+		width := domains[a] / 20
+		lo := 1 + int64(i)*width%(domains[a]-width)
+		return workload.Range{Attr: a, Lo: lo, Hi: lo + width - 1}
+	}
+	for _, shape := range []struct {
+		name string
+		node []lattice.Attr
+		on   lattice.Attr
+	}{
+		{"replica-fold", []lattice.Attr{p, c}, p},
+		{"top-fold", []lattice.Attr{su, c}, c},
+		{"top-rows", []lattice.Attr{p, su, c}, su},
+	} {
+		for _, e := range []struct {
+			name string
+			exec func(workload.Query) ([]workload.Row, error)
+		}{{"cube", s.Forest.Execute}, {"conv", s.Conv.Execute}} {
+			b.Run(e.name+"/"+shape.name, func(b *testing.B) {
+				b.ReportAllocs()
+				rows := 0
+				for i := 0; i < b.N; i++ {
+					got, err := e.exec(workload.Query{Node: shape.node, Ranges: []workload.Range{band(shape.on, i)}})
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows += len(got)
+				}
+				b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 			})
 		}
 	}

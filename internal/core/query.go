@@ -18,11 +18,6 @@ import (
 // an engine failure; a server maps it to a 4xx.
 var ErrNoPlacement = errors.New("core: no placement covers query")
 
-// cancelCheckInterval is how many scanned points pass between context
-// checks during a leaf scan: rare enough to stay off the profile, frequent
-// enough that a cancelled query stops within a few pages.
-const cancelCheckInterval = 1024
-
 // Execute answers a slice query against the forest. It implements
 // workload.Engine.
 //
@@ -38,8 +33,8 @@ func (f *Forest) Execute(q workload.Query) ([]workload.Row, error) {
 }
 
 // ExecuteCtx is Execute under a context: once ctx is cancelled or past its
-// deadline the leaf scan stops within cancelCheckInterval points and the
-// context's error is returned, so a timed-out or disconnected client stops
+// deadline the leaf scan stops within one leaf page and the context's error
+// is returned, so a timed-out or disconnected client stops
 // consuming I/O instead of scanning to completion. It implements
 // workload.EngineCtx.
 func (f *Forest) ExecuteCtx(ctx context.Context, q workload.Query) ([]workload.Row, error) {
@@ -158,19 +153,37 @@ func (f *Forest) placementCost(p *Placement, q workload.Query) float64 {
 	return est + float64(f.trees[p.Tree].Height())
 }
 
+// stackDims is how many dimensions a query's rectangle and column picks
+// may have and still live on executeOn's stack.
+const stackDims = 8
+
 // executeOn runs q against placement p and aggregates the matching points
 // by the query's node attributes. It also returns the number of stored
-// points the search visited, for per-query observability. ctx is polled
-// every cancelCheckInterval points so cancellation interrupts the scan.
-// st, when non-nil, accumulates leaf read/skip counts for a query profile.
+// points the search visited, for per-query observability. The scan hands
+// over one leaf's decoded columns at a time; ctx is polled once per leaf, so
+// cancellation stops the scan within a page. st, when non-nil, accumulates
+// leaf read/skip counts for a query profile.
+//
+// Every shape goes through the one fold. When the view's dimensions are
+// exactly the group-by set no two points share a group, and when the
+// points' pack order is also the rows' canonical order (the node lists the
+// view's unfixed attributes in reverse) the fold sees ascending groups and
+// emits them without sorting.
 func (f *Forest) executeOn(ctx context.Context, p *Placement, q workload.Query, st *rtree.SearchStats) ([]workload.Row, int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 	tree := f.trees[p.Tree]
-	dim := tree.Dim()
-	lo := make([]int64, dim)
-	hi := make([]int64, dim)
+	dim, width := tree.Dim(), len(q.Node)
+	var rectBuf [2 * stackDims]int64
+	var posBuf [stackDims]int
+	var colBuf [stackDims][]int64
+	rect, groupPos, cols := rectBuf[:], posBuf[:], colBuf[:]
+	if dim > stackDims || width > stackDims {
+		rect, groupPos, cols = make([]int64, 2*dim), make([]int, width), make([][]int64, width)
+	}
+	lo, hi := rect[:dim], rect[dim:2*dim]
+	groupPos, cols = groupPos[:width], cols[:width]
 	arity := p.View.Arity()
 	for j := 0; j < arity; j++ {
 		attr := p.View.Attrs[j]
@@ -183,7 +196,6 @@ func (f *Forest) executeOn(ctx context.Context, p *Placement, q workload.Query, 
 	}
 	// Coordinates beyond the view's arity stay [0,0], confining the search
 	// to this view's region of the shared index space.
-	groupPos := make([]int, len(q.Node))
 	for i, a := range q.Node {
 		pos := -1
 		for j, va := range p.View.Attrs {
@@ -198,54 +210,16 @@ func (f *Forest) executeOn(ctx context.Context, p *Placement, q workload.Query, 
 		groupPos[i] = pos
 	}
 
+	agg := workload.NewSchemaAggregator(width, f.schema)
 	var scanned int64
-	if len(q.Node) == arity {
-		// The view's dimensions are exactly the query's group-by set, so
-		// every point the search visits is a distinct group (a view's points
-		// are unique by coordinates): nothing ever folds, and the rows can be
-		// emitted directly without an aggregation map.
-		var rows []workload.Row
-		err := tree.SearchWithStats(lo, hi, func(coords, measures []int64) error {
-			scanned++
-			if scanned%cancelCheckInterval == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			row := workload.Row{
-				Group: make([]int64, len(groupPos)),
-				Sum:   measures[0],
-				Count: measures[1],
-			}
-			for i, pos := range groupPos {
-				row.Group[i] = coords[pos]
-			}
-			if len(measures) > 2 {
-				row.Extra = append([]int64(nil), measures[2:]...)
-			}
-			rows = append(rows, row)
-			return nil
-		}, st)
-		if err != nil {
-			return nil, scanned, err
-		}
-		workload.SortRows(rows)
-		return rows, scanned, nil
-	}
-
-	agg := workload.NewSchemaAggregator(len(q.Node), f.schema)
-	group := make([]int64, len(q.Node))
-	err := tree.SearchWithStats(lo, hi, func(coords, measures []int64) error {
-		scanned++
-		if scanned%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+	err := tree.SearchLeaves(lo, hi, func(b *rtree.LeafBatch) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		for i, pos := range groupPos {
-			group[i] = coords[pos]
+			cols[i] = b.Coords[pos]
 		}
-		agg.AddMeasures(group, measures)
+		scanned += int64(agg.AddBatch(cols, b.Measures, b.Sel))
 		return nil
 	}, st)
 	if err != nil {

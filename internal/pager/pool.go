@@ -1,7 +1,6 @@
 package pager
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"runtime"
@@ -62,7 +61,9 @@ type Frame struct {
 	data  []byte
 	pins  int
 	dirty bool
-	elem  *list.Element
+	// prev and next link the frame into its shard's LRU ring while it is
+	// unpinned; both are nil while it is pinned.
+	prev, next *Frame
 }
 
 // ID returns the page id held by the frame.
@@ -79,7 +80,23 @@ func (fr *Frame) Data() []byte { return fr.data }
 type poolShard struct {
 	mu     sync.Mutex
 	frames map[PageID]*Frame
-	lru    *list.List // front = most recently used; unpinned frames only
+	// lru is the sentinel of a ring of the unpinned frames, linked through
+	// the frames themselves so that pinning and unpinning allocate nothing:
+	// lru.next is the most recently used, lru.prev the next to evict.
+	lru       Frame
+	evictable int // frames in the ring
+}
+
+func (sh *poolShard) lruPushFront(fr *Frame) {
+	fr.prev, fr.next = &sh.lru, sh.lru.next
+	fr.prev.next, fr.next.prev = fr, fr
+	sh.evictable++
+}
+
+func (sh *poolShard) lruRemove(fr *Frame) {
+	fr.prev.next, fr.next.prev = fr.next, fr.prev
+	fr.prev, fr.next = nil, nil
+	sh.evictable--
 }
 
 // Pool is an LRU buffer pool over one File. The pool is the only component
@@ -170,7 +187,7 @@ func newPool(file *File, capacity, n int) *Pool {
 	}
 	for i := range p.shards {
 		p.shards[i].frames = make(map[PageID]*Frame)
-		p.shards[i].lru = list.New()
+		p.shards[i].lru.prev, p.shards[i].lru.next = &p.shards[i].lru, &p.shards[i].lru
 	}
 	return p
 }
@@ -315,7 +332,7 @@ func (p *Pool) Unpin(fr *Frame, dirty bool) {
 	fr.pins--
 	evictable := fr.pins == 0
 	if evictable {
-		fr.elem = sh.lru.PushFront(fr)
+		sh.lruPushFront(fr)
 	}
 	sh.mu.Unlock()
 	if evictable && p.waiters.Load() > 0 {
@@ -403,9 +420,8 @@ func (p *Pool) Close() error {
 }
 
 func (sh *poolShard) pinLocked(fr *Frame) {
-	if fr.pins == 0 && fr.elem != nil {
-		sh.lru.Remove(fr.elem)
-		fr.elem = nil
+	if fr.pins == 0 && fr.next != nil {
+		sh.lruRemove(fr)
 	}
 	fr.pins++
 }
@@ -472,7 +488,7 @@ func (p *Pool) Info() PoolInfo {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		si := ShardInfo{Frames: len(sh.frames), Evictable: sh.lru.Len()}
+		si := ShardInfo{Frames: len(sh.frames), Evictable: sh.evictable}
 		for _, fr := range sh.frames {
 			if fr.pins > 0 {
 				si.Pinned++
@@ -490,13 +506,11 @@ func (p *Pool) Info() PoolInfo {
 // mutex the caller holds), writing it back if dirty. Returns nil, nil when
 // the shard has no evictable frame.
 func (p *Pool) evictFrom(sh *poolShard) (*Frame, error) {
-	elem := sh.lru.Back()
-	if elem == nil {
+	fr := sh.lru.prev
+	if fr == &sh.lru {
 		return nil, nil
 	}
-	fr := elem.Value.(*Frame)
-	sh.lru.Remove(elem)
-	fr.elem = nil
+	sh.lruRemove(fr)
 	delete(sh.frames, fr.id)
 	if fr.dirty {
 		if err := p.file.WritePage(fr.id, fr.data); err != nil {

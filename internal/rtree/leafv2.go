@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"cubetree/internal/enc"
+	"cubetree/internal/pager"
 )
 
 // Leaf format v2: column-major compressed leaf pages.
@@ -158,14 +159,32 @@ func encodeV2Leaf(b []byte, cols []enc.ColumnBuilder, meas [][]int64, measures i
 // dominant allocation of a point query.
 var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// scanScratch holds the per-search decode buffers for v2 leaves, allocated
-// lazily on the first v2 leaf a search touches and reused for every later
-// leaf of the search.
+// scanScratch holds one search's working buffers, reused for every node and
+// leaf the search touches and recycled through scratchPool, so a search
+// allocates nothing once the pool is warm.
 type scanScratch struct {
-	lay   v2Layout
-	cols  [][]int64    // decoded coordinate columns, cols[j][i] = row i's coord j
-	sel   []uint64     // selection bitmap over the leaf's rows
-	stats *SearchStats // optional leaf read/skip counters; nil on Search
+	lay      v2Layout
+	cols     [][]int64      // decoded coordinate columns, cols[j][i] = row i's coord j
+	meas     [][]int64      // decoded measure columns, selected rows only
+	zeros    []int64        // the all-zero column standing in for coordinates beyond a leaf's arity
+	sel      []uint64       // selection bitmap over the leaf's rows
+	entry    []int64        // 2·dim + measures: an inner entry's rectangle, or one point
+	children []pager.PageID // stack of matching children of the inner nodes on the current path
+	batch    LeafBatch      // what the visitor is handed; views of the buffers above
+	stats    *SearchStats   // optional leaf read/skip counters; nil on Search
+}
+
+// begin readies the scratch for one search of t.
+func (s *scanScratch) begin(t *Tree, st *SearchStats) {
+	s.stats = st
+	s.children = s.children[:0]
+	if n := 2*t.dim + t.measures; len(s.entry) < n {
+		s.entry, s.batch.point = make([]int64, n), make([]int64, n)
+	}
+	for len(s.meas) < t.measures {
+		s.meas = append(s.meas, nil)
+	}
+	s.meas = s.meas[:t.measures]
 }
 
 // grow sizes the scratch for a leaf of n rows and arity coordinate columns.
@@ -173,24 +192,29 @@ func (s *scanScratch) grow(arity, n int) {
 	for len(s.cols) < arity {
 		s.cols = append(s.cols, nil)
 	}
-	for j := 0; j < arity; j++ {
-		if cap(s.cols[j]) < n {
-			s.cols[j] = make([]int64, n)
-		}
-		s.cols[j] = s.cols[j][:n]
-	}
+	growColumns(s.cols[:arity], n)
+	growColumns(s.meas, n)
 	if w := enc.SelectionWords(n); cap(s.sel) < w {
 		s.sel = make([]uint64, w)
 	} else {
-		s.sel = s.sel[:enc.SelectionWords(n)]
+		s.sel = s.sel[:w]
 	}
 }
 
-// searchLeafV2 scans one v2 leaf for points inside [lo, hi], calling fn for
-// each match. The scan proceeds in three phases: zone-map leaf skipping,
-// column-at-a-time predicate evaluation into the selection bitmap, and late
-// materialization of only the surviving rows.
-func (t *Tree) searchLeafV2(b []byte, lo, hi []int64, s *scanScratch, coords, measures []int64, fn Visit) error {
+func growColumns(cols [][]int64, n int) {
+	for j := range cols {
+		if cap(cols[j]) < n {
+			cols[j] = make([]int64, n)
+		}
+		cols[j] = cols[j][:n]
+	}
+}
+
+// searchLeafV2 scans one v2 leaf for points inside [lo, hi] and hands the
+// matches to fn as one batch. The scan proceeds in three phases: zone-map
+// leaf skipping, column-at-a-time predicate evaluation into the selection
+// bitmap, and late materialization of only the surviving rows.
+func (t *Tree) searchLeafV2(b []byte, lo, hi []int64, s *scanScratch, fn VisitLeaf) error {
 	if err := parseV2Leaf(b, t.measures, t.payload(), &s.lay); err != nil {
 		return err
 	}
@@ -242,30 +266,30 @@ func (t *Tree) searchLeafV2(b []byte, lo, hi []int64, s *scanScratch, coords, me
 		}
 	}
 	// Materialization phase: decode every column only for the rows that
-	// survived all predicates, then emit rows.
+	// survived all predicates.
 	for j := 0; j < lay.arity; j++ {
 		d := lay.desc[j]
 		enc.UnpackColumnSelect(lay.col(b, j), lay.n, d.min, d.width, s.sel, s.cols[j])
 	}
-	for j := lay.arity; j < t.dim; j++ {
-		coords[j] = 0
-	}
-	for wi, w := range s.sel {
-		for w != 0 {
-			i := wi*64 + bits.TrailingZeros64(w)
-			w &= w - 1
-			for j := 0; j < lay.arity; j++ {
-				coords[j] = s.cols[j][i]
-			}
-			for m := 0; m < t.measures; m++ {
-				measures[m] = lay.measure(b, m, i)
-			}
-			if err := fn(coords, measures); err != nil {
-				return err
+	for m, col := range s.meas {
+		for wi, w := range s.sel {
+			for ; w != 0; w &= w - 1 {
+				i := wi*64 + bits.TrailingZeros64(w)
+				col[i] = lay.measure(b, m, i)
 			}
 		}
 	}
-	return nil
+	s.batch.Coords = append(s.batch.Coords[:0], s.cols[:lay.arity]...)
+	if lay.arity < t.dim {
+		if cap(s.zeros) < lay.n {
+			s.zeros = make([]int64, lay.n)
+		}
+		for j := lay.arity; j < t.dim; j++ {
+			s.batch.Coords = append(s.batch.Coords, s.zeros[:lay.n])
+		}
+	}
+	s.batch.Measures, s.batch.Sel = s.meas, s.sel
+	return fn(&s.batch)
 }
 
 // leafDecoder provides format-agnostic random access to a leaf's points for

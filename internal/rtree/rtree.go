@@ -22,6 +22,7 @@ package rtree
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"cubetree/internal/enc"
 	"cubetree/internal/pager"
@@ -287,6 +288,22 @@ func (t *Tree) setInnerEntry(b []byte, i int, lo, hi []int64, child pager.PageID
 // aggregate payload. Both slices are reused between calls.
 type Visit func(coords []int64, measures []int64) error
 
+// LeafBatch is one leaf's matching points in columnar form: bit i of Sel is
+// set when row i matched, Coords[j][i] is its coordinate j (the tree's full
+// dimensionality; columns beyond the leaf's arity are all zero) and
+// Measures[m][i] its measure m. Only selected rows of the columns are
+// meaningful, and everything is reused for the search's next leaf.
+type LeafBatch struct {
+	Coords   [][]int64
+	Measures [][]int64
+	Sel      []uint64
+	point    []int64 // at least dim + measures words, for unrolling the batch point by point
+}
+
+// VisitLeaf is called once for every leaf that holds at least one matching
+// point, in leaf order.
+type VisitLeaf func(b *LeafBatch) error
+
 // SearchStats counts one search's leaf-page traffic for EXPLAIN-ANALYZE
 // style profiles. A leaf is "read" when its rows (or packed columns) were
 // actually evaluated against the rectangle, and "skipped" when the page was
@@ -316,28 +333,49 @@ func (t *Tree) Search(lo, hi []int64, fn Visit) error {
 }
 
 // SearchWithStats is Search, additionally accumulating leaf read/skip counts
-// into st when st is non-nil. A nil st makes it identical to Search: the only
-// extra cost on the unprofiled path is one pointer test per leaf page.
+// into st when st is non-nil. It is SearchLeaves with each batch unrolled
+// into per-point calls.
 func (t *Tree) SearchWithStats(lo, hi []int64, fn Visit, st *SearchStats) error {
+	return t.SearchLeaves(lo, hi, func(b *LeafBatch) error {
+		coords, measures := b.point[:t.dim], b.point[t.dim:t.dim+t.measures]
+		for wi, w := range b.Sel {
+			for ; w != 0; w &= w - 1 {
+				i := wi*64 + bits.TrailingZeros64(w)
+				for j, c := range b.Coords {
+					coords[j] = c[i]
+				}
+				for m, c := range b.Measures {
+					measures[m] = c[i]
+				}
+				if err := fn(coords, measures); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}, st)
+}
+
+// SearchLeaves hands fn the points inside [lo, hi] one leaf at a time, as
+// decoded columns plus a selection bitmap, accumulating leaf read/skip
+// counts into st when st is non-nil. A nil st costs one pointer test per
+// leaf page.
+func (t *Tree) SearchLeaves(lo, hi []int64, fn VisitLeaf, st *SearchStats) error {
 	if len(lo) != t.dim || len(hi) != t.dim {
 		return fmt.Errorf("rtree: search rectangle dim %d/%d, want %d", len(lo), len(hi), t.dim)
 	}
 	if t.count == 0 {
 		return nil
 	}
-	coords := make([]int64, t.dim)
-	measures := make([]int64, t.measures)
-	elo := make([]int64, t.dim)
-	ehi := make([]int64, t.dim)
 	scratch := scratchPool.Get().(*scanScratch)
-	scratch.stats = st
-	err := t.search(t.root, t.height, lo, hi, coords, measures, elo, ehi, scratch, fn)
+	scratch.begin(t, st)
+	err := t.search(t.root, t.height, lo, hi, scratch, fn)
 	scratch.stats = nil // never leak the caller's pointer through the pool
 	scratchPool.Put(scratch)
 	return err
 }
 
-func (t *Tree) search(pid pager.PageID, level int, lo, hi, coords, measures, elo, ehi []int64, scratch *scanScratch, fn Visit) error {
+func (t *Tree) search(pid pager.PageID, level int, lo, hi []int64, scratch *scanScratch, fn VisitLeaf) error {
 	fr, err := t.pool.Fetch(pid)
 	if err != nil {
 		return err
@@ -347,42 +385,28 @@ func (t *Tree) search(pid pager.PageID, level int, lo, hi, coords, measures, elo
 	if level == 1 {
 		switch nodeKind(b) {
 		case kindLeaf:
-			// v1 leaves carry no zone maps: every visited leaf is a read.
-			if scratch.stats != nil {
-				scratch.stats.LeafPagesRead++
-			}
-			for i := 0; i < n; i++ {
-				t.leafPoint(b, i, coords, measures)
-				if pointInRect(coords, lo, hi) {
-					if err := fn(coords, measures); err != nil {
-						t.pool.Unpin(fr, false)
-						return err
-					}
-				}
-			}
+			err = t.searchLeafV1(b, lo, hi, scratch, fn)
 		case kindLeafV2:
-			if err := t.searchLeafV2(b, lo, hi, scratch, coords, measures, fn); err != nil {
-				t.pool.Unpin(fr, false)
-				return err
-			}
+			err = t.searchLeafV2(b, lo, hi, scratch, fn)
 		default:
-			t.pool.Unpin(fr, false)
-			return fmt.Errorf("rtree: corrupt node %d: unknown leaf format (kind %d)", pid, nodeKind(b))
+			err = fmt.Errorf("rtree: corrupt node %d: unknown leaf format (kind %d)", pid, nodeKind(b))
 		}
 		t.pool.Unpin(fr, false)
-		return nil
+		return err
 	}
 	if nodeKind(b) != kindInternal {
 		t.pool.Unpin(fr, false)
 		return fmt.Errorf("rtree: corrupt node %d: expected internal", pid)
 	}
 	// Collect matching children before recursing so the parent page is not
-	// pinned during the whole subtree walk.
-	var children []pager.PageID
+	// pinned during the whole subtree walk. They go on a stack shared by the
+	// whole search; this node's are [base, end).
+	elo, ehi := scratch.entry[:t.dim], scratch.entry[t.dim:2*t.dim]
+	base := len(scratch.children)
 	for i := 0; i < n; i++ {
 		child := t.innerEntry(b, i, elo, ehi)
 		if rectsIntersect(elo, ehi, lo, hi) {
-			children = append(children, child)
+			scratch.children = append(scratch.children, child)
 		} else if level == 2 && scratch.stats != nil {
 			// The rejected child is a leaf page: its entry rectangle is the
 			// leaf's zone extent, so this is a leaf page skipped whole
@@ -391,12 +415,43 @@ func (t *Tree) search(pid pager.PageID, level int, lo, hi, coords, measures, elo
 		}
 	}
 	t.pool.Unpin(fr, false)
-	for _, c := range children {
-		if err := t.search(c, level-1, lo, hi, coords, measures, elo, ehi, scratch, fn); err != nil {
-			return err
+	end := len(scratch.children)
+	for i := base; i < end && err == nil; i++ {
+		err = t.search(scratch.children[i], level-1, lo, hi, scratch, fn)
+	}
+	scratch.children = scratch.children[:base]
+	return err
+}
+
+// searchLeafV1 scans one row-major leaf into the scratch batch. v1 leaves
+// carry no zone maps: every visited leaf is a read.
+func (t *Tree) searchLeafV1(b []byte, lo, hi []int64, s *scanScratch, fn VisitLeaf) error {
+	if s.stats != nil {
+		s.stats.LeafPagesRead++
+	}
+	n := nodeCount(b)
+	s.grow(t.dim, n)
+	clear(s.sel)
+	coords, measures := s.entry[:t.dim], s.entry[t.dim:t.dim+t.measures]
+	for i := 0; i < n; i++ {
+		t.leafPoint(b, i, coords, measures)
+		if !pointInRect(coords, lo, hi) {
+			continue
+		}
+		s.sel[i/64] |= 1 << (i % 64)
+		for j, v := range coords {
+			s.cols[j][i] = v
+		}
+		for m, v := range measures {
+			s.meas[m][i] = v
 		}
 	}
-	return nil
+	if enc.SelectionEmpty(s.sel) {
+		return nil
+	}
+	s.batch.Coords = append(s.batch.Coords[:0], s.cols[:t.dim]...)
+	s.batch.Measures, s.batch.Sel = s.meas, s.sel
+	return fn(&s.batch)
 }
 
 func pointInRect(p, lo, hi []int64) bool {

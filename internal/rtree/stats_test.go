@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -119,6 +121,60 @@ func TestSearchStatsReadSkipAccounting(t *testing.T) {
 			}
 			if m != n {
 				t.Fatalf("Search returned %d points, SearchWithStats %d", m, n)
+			}
+		})
+	}
+}
+
+// TestSearchLeavesBatches pins the batch form's contract in both formats:
+// one call per leaf that has a match and none for the rest, full-width
+// coordinate columns with zeros beyond the leaf's arity, and selected rows
+// that are exactly the points the per-point form visits, in the same order.
+func TestSearchLeavesBatches(t *testing.T) {
+	for _, format := range []int{FormatV1, FormatV2} {
+		t.Run(map[int]string{FormatV1: "v1", FormatV2: "v2"}[format], func(t *testing.T) {
+			const xmax, ymax = 60, 60
+			tree := buildStatsTree(t, format, xmax, ymax)
+			// x in [3,40], y in [0,9]: part of the arity-1 run and a band of
+			// the arity-2 run.
+			lo, hi := []int64{3, 0}, []int64{40, 9}
+			var want [][4]int64
+			if err := tree.Search(lo, hi, func(c, m []int64) error {
+				want = append(want, [4]int64{c[0], c[1], m[0], m[1]})
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != 38*10 {
+				t.Fatalf("Search visited %d points, want %d", len(want), 38*10)
+			}
+			var got [][4]int64
+			var st SearchStats
+			batches := int64(0)
+			if err := tree.SearchLeaves(lo, hi, func(b *LeafBatch) error {
+				batches++
+				if len(b.Coords) != 2 || len(b.Measures) != 2 {
+					t.Fatalf("batch has %d coordinate and %d measure columns", len(b.Coords), len(b.Measures))
+				}
+				before := len(got)
+				for wi, w := range b.Sel {
+					for ; w != 0; w &= w - 1 {
+						i := wi*64 + bits.TrailingZeros64(w)
+						got = append(got, [4]int64{b.Coords[0][i], b.Coords[1][i], b.Measures[0][i], b.Measures[1][i]})
+					}
+				}
+				if len(got) == before {
+					t.Fatal("visitor called for a leaf with no match")
+				}
+				return nil
+			}, &st); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("batches hold %d points, per-point search %d, or in another order", len(got), len(want))
+			}
+			if batches < 2 || batches > st.LeafPagesRead {
+				t.Fatalf("%d batches from %d leaves read", batches, st.LeafPagesRead)
 			}
 		})
 	}

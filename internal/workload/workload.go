@@ -130,6 +130,13 @@ func (q Query) String() string {
 // carry their predicate value) plus the aggregated measures. Sum and Count
 // are always present; Extra carries any additional measures (MIN, MAX) in
 // the engine's schema order.
+//
+// The rows of one result share memory: every Group is a window of one
+// backing array and every Extra of another (MergePartials results share
+// their inputs' Group arrays instead). The windows are cap-limited, so
+// appending to a row's Group or Extra copies rather than spilling into the
+// next row, and nothing else holds the arrays once the result is returned;
+// writing to an element in place is visible only through that row.
 type Row struct {
 	Group []int64
 	Sum   int64
