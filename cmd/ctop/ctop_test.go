@@ -224,17 +224,19 @@ func TestOnceAgainstLiveCluster(t *testing.T) {
 
 	// Same monitoring shape as cubetreed's coordinator path, but sampled by
 	// hand so the test is deterministic: one fleet sample before traffic, one
-	// after.
-	h := o.StartHistory(obs.HistoryOptions{
-		Interval: time.Hour, // scraper sleeps; we drive Sample() ourselves
+	// after. The ring is never started — a scraper goroutine's first sample
+	// would race the traffic below, which takes about a millisecond.
+	h := obs.NewHistory(obs.HistoryOptions{
+		Interval: time.Hour,
 		Source: func() obs.Snapshot {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			return coord.FleetSnapshot(ctx)
 		},
 	})
-	defer h.Close()
+	o.History = h
 	o.SetSLOs(nil)
+	h.Sample()
 
 	for i := 0; i < 20; i++ {
 		if _, err := coord.QueryCtx(context.Background(), cubetree.Query{}); err != nil {

@@ -19,7 +19,7 @@ type ClusterShard struct {
 	// query path uses.
 	ScrapeNS  int64  `json:"scrape_ns"`
 	Straggler bool   `json:"straggler,omitempty"`
-	Error     string `json:"error,omitempty"` // scrape failure (worker down or pre-metrics protocol)
+	Error     string `json:"error,omitempty"` // scrape failure
 
 	InFlight     int64 `json:"in_flight"`
 	P95LatencyNS int64 `json:"p95_latency_ns"`
@@ -66,8 +66,8 @@ type ClusterInfo struct {
 }
 
 // ClusterInfo scrapes every worker's metric snapshot in one scatter and
-// aggregates the fleet view. Per-shard failures (a worker that is down, or
-// one predating the metrics frame) are recorded in that shard's Error field
+// aggregates the fleet view. Per-shard failures (a worker that is down or
+// cannot answer the metrics frame) are recorded in that shard's Error field
 // rather than failing the whole scrape: a partially-visible cluster is
 // exactly when the endpoint matters most.
 func (c *Coordinator) ClusterInfo(ctx context.Context) ClusterInfo {
@@ -75,21 +75,11 @@ func (c *Coordinator) ClusterInfo(ctx context.Context) ClusterInfo {
 	rows := make([]ClusterShard, n)
 	payloads := make([]*metricsReplyPayload, n)
 	elapsed, _ := c.scatter(func(i int, sh *shard) error {
-		req, err := marshalFrame(FrameMetrics, 0, struct{}{})
-		if err != nil {
+		var mp metricsReplyPayload
+		if err := c.control(ctx, sh, FrameMetrics, struct{}{}, FrameMetricsReply, &mp,
+			metricsRequestRetries, c.cfg.RequestTimeout); err != nil {
 			rows[i].Error = err.Error()
 			return nil // recorded per shard; never fail the scrape
-		}
-		reply, _, err := c.roundTrip(ctx, sh, req, FrameMetricsReply,
-			metricsRequestRetries, c.cfg.RequestTimeout)
-		if err != nil {
-			rows[i].Error = err.Error()
-			return nil
-		}
-		var mp metricsReplyPayload
-		if err := unmarshalFrame(reply, &mp); err != nil {
-			rows[i].Error = err.Error()
-			return nil
 		}
 		payloads[i] = &mp
 		sh.generation.Store(int64(mp.Generation))
@@ -149,9 +139,9 @@ func (c *Coordinator) ClusterInfo(ctx context.Context) ClusterInfo {
 // this much". This is the Source a coordinator hands its history ring: the
 // time-series and SLO views then describe the cluster, not one process, and
 // the rollup rides the same metrics/metricsReply wire frames /debug/cluster
-// uses, so pre-metrics workers degrade to a per-shard scrape error rather
-// than an invisible gap. The dist_scraped_shards gauge records how many
-// shards actually answered each sample.
+// uses, so a worker that fails the scrape degrades to a per-shard scrape
+// error rather than an invisible gap. The dist_scraped_shards gauge records
+// how many shards actually answered each sample.
 func (c *Coordinator) FleetSnapshot(ctx context.Context) obs.Snapshot {
 	info := c.ClusterInfo(ctx)
 	var snap obs.Snapshot

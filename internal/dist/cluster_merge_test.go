@@ -60,8 +60,9 @@ func (fs *fakeShard) serve(conn net.Conn) {
 			reply = dist.Frame{Type: dist.FrameHealthReply, ID: f.ID, Payload: []byte(fmt.Sprintf(
 				`{"generation":%d}`, fs.generation))}
 		case dist.FrameQuery:
-			reply = dist.Frame{Type: dist.FrameRows, ID: f.ID, Payload: []byte(fmt.Sprintf(
-				`{"generation":%d,"rows":[{"Group":[],"Sum":7,"Count":1}]}`, fs.generation))}
+			// rows reply: generation, flags, one row-set block.
+			reply = dist.Frame{Type: dist.FrameRows, ID: f.ID, Payload: dist.AppendRowSet(
+				[]byte{byte(fs.generation), 0}, []cubetree.Row{{Sum: 7, Count: 1}})}
 		case dist.FrameMetrics:
 			if fs.metrics == nil {
 				return // pre-metrics worker: unknown frame drops the connection
@@ -244,5 +245,20 @@ func TestFleetSnapshot(t *testing.T) {
 	}
 	if snap.Gauges["dist_scraped_shards"] != 1 || snap.Gauges["dist_shards"] != 2 {
 		t.Fatalf("partial coverage gauges = %+v", snap.Gauges)
+	}
+}
+
+// TestProfiledQueryToleratesUnprofiledReply: a shard that answers a profiled
+// query without the profile section still yields rows; its ShardProfile entry
+// has no worker-side breakdown and the fleet sums leave it out.
+func TestProfiledQueryToleratesUnprofiledReply(t *testing.T) {
+	coord := fakeCoordinator(t, startFakeShard(t, 1, nil))
+	prof := &cubetree.QueryProfile{}
+	rows, err := coord.QueryProfiledCtx(obs.WithTraceID(context.Background(), obs.NewTraceID()), cubetree.Query{}, prof)
+	if err != nil || len(rows) != 1 || rows[0].Sum != 7 || rows[0].Count != 1 {
+		t.Fatalf("rows = %+v, %v", rows, err)
+	}
+	if len(prof.Shards) != 1 || prof.Shards[0].Profile != nil || prof.PointsScanned != 0 {
+		t.Fatalf("profile = %+v", *prof)
 	}
 }

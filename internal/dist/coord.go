@@ -3,6 +3,7 @@ package dist
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -90,35 +91,36 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// shardConn is one pooled connection to a worker.
+// shardConn is one pooled connection to a worker. buf holds the reply being
+// read and col is the row-set decoder's column scratch; both are reused from
+// one exchange to the next, so a steady connection allocates only the rows it
+// hands back.
 type shardConn struct {
-	c      net.Conn
-	br     *bufio.Reader
-	bw     *bufio.Writer
-	nextID uint64
+	c   net.Conn
+	br  *bufio.Reader
+	buf []byte
+	col []int64
 }
 
 func (sc *shardConn) close() { sc.c.Close() }
 
-// do performs one request/reply exchange under the deadline.
-func (sc *shardConn) do(req Frame, deadline time.Time) (Frame, error) {
-	sc.nextID++
-	req.ID = sc.nextID
+// do performs one request/reply exchange under the deadline: req is a whole
+// encoded frame, written in one piece, and the reply's payload is valid until
+// the connection's next exchange.
+func (sc *shardConn) do(req []byte, deadline time.Time) (Frame, error) {
 	if err := sc.c.SetDeadline(deadline); err != nil {
 		return Frame{}, err
 	}
-	if err := EncodeFrame(sc.bw, req); err != nil {
+	if _, err := sc.c.Write(req); err != nil {
 		return Frame{}, err
 	}
-	if err := sc.bw.Flush(); err != nil {
-		return Frame{}, err
-	}
-	reply, err := DecodeFrame(sc.br)
+	reply, buf, err := readFrame(sc.br, sc.buf)
+	sc.buf = keep(buf)
 	if err != nil {
 		return Frame{}, err
 	}
-	if reply.ID != req.ID {
-		return Frame{}, fmt.Errorf("dist: reply id %d for request %d", reply.ID, req.ID)
+	if id := binary.BigEndian.Uint64(req[6:14]); reply.ID != id {
+		return Frame{}, fmt.Errorf("dist: reply id %d for request %d", reply.ID, id)
 	}
 	return reply, nil
 }
@@ -130,6 +132,9 @@ type shard struct {
 	inflight   atomic.Int64
 	lastErr    atomic.Pointer[string]
 	latency    *obs.Histogram
+	// inflightGauge is this shard's child of dist_shard_inflight, resolved
+	// once like latency so a scatter leg pays no family lookup.
+	inflightGauge *obs.FloatGauge
 
 	mu   sync.Mutex
 	idle []*shardConn
@@ -148,11 +153,7 @@ func (sh *shard) get(dialTimeout time.Duration) (*shardConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &shardConn{
-		c:  c,
-		br: bufio.NewReaderSize(c, 64<<10),
-		bw: bufio.NewWriterSize(c, 64<<10),
-	}, nil
+	return &shardConn{c: c, br: bufio.NewReaderSize(c, 64<<10)}, nil
 }
 
 func (sh *shard) put(sc *shardConn) {
@@ -196,6 +197,11 @@ type Coordinator struct {
 	// scatter can observe some shards before a commit and others after:
 	// results are old-or-new, never mixed.
 	qmu sync.RWMutex
+
+	// lastID numbers requests. One scatter sends the same encoded frame, ID
+	// included, down every leg; a connection still never sees an ID twice in
+	// a row, which is all the reply check needs.
+	lastID atomic.Uint64
 
 	m coordMetrics
 }
@@ -244,24 +250,16 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		if sh.latency = c.m.latency.With(addr); sh.latency == nil {
 			sh.latency = &obs.Histogram{}
 		}
+		sh.inflightGauge = c.m.inflight.With(addr)
 		c.shards = append(c.shards, sh)
 	}
 	reg.Gauge("dist_fanout_shards").Set(int64(len(c.shards)))
 	reg.GaugeFunc("dist_generation", func() int64 { return int64(c.Generation()) })
 
 	for i, sh := range c.shards {
-		req, err := marshalFrame(FrameStats, 0, struct{}{})
-		if err != nil {
-			return nil, err
-		}
-		reply, _, err := c.roundTrip(context.Background(), sh, req, FrameStatsReply,
-			cfg.Retries, cfg.RequestTimeout)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
 		var sp statsReplyPayload
-		if err := unmarshalFrame(reply, &sp); err != nil {
+		if err := c.control(context.Background(), sh, FrameStats, struct{}{}, FrameStatsReply, &sp,
+			cfg.Retries, cfg.RequestTimeout); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -337,18 +335,21 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// roundTrip performs one request against one shard, retrying transient
-// failures (connect errors, broken connections, retryable worker errors)
-// with exponential backoff up to budget retries. Permanent worker errors
-// and exhausted budgets return a *ShardError. The second return is the
-// number of attempts made, for per-shard profile/trace detail (it matches
-// ShardError.Attempts on failure).
-func (c *Coordinator) roundTrip(ctx context.Context, sh *shard, req Frame, want FrameType, budget int, attemptTimeout time.Duration) (Frame, int, error) {
+// roundTrip performs one request against one shard — req is a whole encoded
+// frame — and hands the reply's payload to handle while it still holds the
+// connection (the payload lives in the connection's buffer). Transient
+// failures (connect errors, broken connections, retryable worker errors) are
+// retried with exponential backoff up to budget retries; permanent worker
+// errors, a peer of another protocol version and exhausted budgets return a
+// *ShardError, and handle's own error is returned as it is. The first return
+// is the number of attempts made, for per-shard profile/trace detail (it
+// matches ShardError.Attempts on failure).
+func (c *Coordinator) roundTrip(ctx context.Context, sh *shard, req []byte, want FrameType, budget int, attemptTimeout time.Duration, handle func(sc *shardConn, payload []byte) error) (int, error) {
 	backoff := c.cfg.RetryBackoff
-	fail := func(attempts int, code string, err error) (Frame, int, error) {
+	fail := func(attempts int, code string, err error) (int, error) {
 		c.m.errors.With(sh.addr).Inc()
 		sh.noteError(err)
-		return Frame{}, attempts, &ShardError{Addr: sh.addr, Code: code, Attempts: attempts,
+		return attempts, &ShardError{Addr: sh.addr, Code: code, Attempts: attempts,
 			RetryAfter: backoff, Err: err}
 	}
 	var lastErr error
@@ -377,15 +378,23 @@ func (c *Coordinator) roundTrip(ctx context.Context, sh *shard, req Frame, want 
 		reply, err := sc.do(req, deadline)
 		if err != nil {
 			sc.close()
+			var ve *VersionError
+			if errors.As(err, &ve) {
+				return fail(attempt+1, ErrCodeBadProtocol, err)
+			}
 			lastErr = err
 			continue
 		}
 		if reply.Type == FrameError {
 			var ep errorPayload
-			if err := unmarshalFrame(reply, &ep); err != nil {
+			if err := unmarshalJSON(FrameError, reply.Payload, &ep); err != nil {
 				sc.close()
 				lastErr = err
 				continue
+			}
+			if ep.Code == ErrCodeBadProtocol {
+				sc.close() // the worker is closing its end too
+				return fail(attempt+1, ep.Code, errors.New(ep.Msg))
 			}
 			sh.put(sc)
 			if ep.Retryable {
@@ -402,11 +411,25 @@ func (c *Coordinator) roundTrip(ctx context.Context, sh *shard, req Frame, want 
 			return fail(attempt+1, ErrCodeBadRequest,
 				fmt.Errorf("dist: shard answered %s, want %s", reply.Type, want))
 		}
+		err = handle(sc, reply.Payload)
 		sh.put(sc)
 		sh.lastErr.Store(nil)
-		return reply, attempt + 1, nil
+		return attempt + 1, err
 	}
 	return fail(budget+1, "", lastErr)
+}
+
+// control performs one exchange of JSON control frames: in is the request's
+// payload, out receives the reply's.
+func (c *Coordinator) control(ctx context.Context, sh *shard, t FrameType, in any, want FrameType, out any, budget int, attemptTimeout time.Duration) error {
+	req, err := appendJSONFrame(nil, t, c.lastID.Add(1), in)
+	if err != nil {
+		return err
+	}
+	_, err = c.roundTrip(ctx, sh, req, want, budget, attemptTimeout, func(_ *shardConn, payload []byte) error {
+		return unmarshalJSON(want, payload, out)
+	})
+	return err
 }
 
 // scatter runs fn against every shard concurrently, records per-shard
@@ -423,14 +446,12 @@ func (c *Coordinator) scatter(fn func(i int, sh *shard) error) ([]time.Duration,
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			sh.inflight.Add(1)
-			c.m.inflight.With(sh.addr).Set(float64(sh.inflight.Load()))
+			sh.inflightGauge.Set(float64(sh.inflight.Add(1)))
 			start := time.Now()
 			errs[i] = fn(i, sh)
 			elapsed[i] = time.Since(start)
 			sh.latency.Observe(elapsed[i].Nanoseconds())
-			sh.inflight.Add(-1)
-			c.m.inflight.With(sh.addr).Set(float64(sh.inflight.Load()))
+			sh.inflightGauge.Set(float64(sh.inflight.Add(-1)))
 		}(i, sh)
 	}
 	wg.Wait()
@@ -523,9 +544,8 @@ func (c *Coordinator) QueryCtx(ctx context.Context, q workload.Query) ([]workloa
 // counters are fleet-wide sums of the per-shard worker profiles, and
 // prof.Shards carries each shard's round-trip detail (attempts, latency,
 // straggler verdict) plus its worker-side breakdown. A nil prof is exactly
-// QueryCtx. Workers predating the profile protocol field answer without a
-// profile; their ShardProfile entry then has a nil Profile and the sums
-// cover only the shards that reported.
+// QueryCtx. A shard whose reply carries no profile has a nil Profile in its
+// ShardProfile entry, and the sums cover only the shards that reported.
 func (c *Coordinator) QueryProfiledCtx(ctx context.Context, q workload.Query, prof *workload.QueryProfile) ([]workload.Row, error) {
 	return c.queryScatter(ctx, q, prof)
 }
@@ -563,7 +583,8 @@ func (c *Coordinator) queryScatter(ctx context.Context, q workload.Query, prof *
 	if sp != nil {
 		legs = make([]*obs.Span, n)
 	}
-	req, err := marshalFrame(FrameQuery, 0, queryPayload{Query: q, TraceID: tid, Profile: prof != nil})
+	req, err := endFrame(appendQueryRequest(
+		appendHeader(make([]byte, 0, 128), FrameQuery, c.lastID.Add(1), 0), q, tid, prof != nil))
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -575,7 +596,12 @@ func (c *Coordinator) queryScatter(ctx context.Context, q workload.Query, prof *
 			leg.SetStr("addr", sh.addr)
 			legs[i] = leg
 		}
-		reply, att, rerr := c.roundTrip(ctx, sh, req, FrameRows, c.cfg.Retries, c.cfg.RequestTimeout)
+		var wprof *workload.QueryProfile
+		att, rerr := c.roundTrip(ctx, sh, req, FrameRows, c.cfg.Retries, c.cfg.RequestTimeout,
+			func(sc *shardConn, payload []byte) (derr error) {
+				gens[i], parts[i], wprof, derr = decodeRowsReply(payload, &sc.col)
+				return derr
+			})
 		if attempts != nil {
 			attempts[i] = att
 		}
@@ -585,23 +611,16 @@ func (c *Coordinator) queryScatter(ctx context.Context, q workload.Query, prof *
 			leg.End()
 			return rerr
 		}
-		var rp rowsPayload
-		if uerr := unmarshalFrame(reply, &rp); uerr != nil {
-			leg.SetStr("error", uerr.Error())
-			leg.End()
-			return uerr
-		}
-		parts[i], gens[i] = rp.Rows, rp.Generation
 		if profs != nil {
-			profs[i] = rp.Profile
+			profs[i] = wprof
 		}
-		sh.generation.Store(int64(rp.Generation))
-		leg.SetInt("generation", int64(rp.Generation))
-		leg.SetInt("rows", int64(len(rp.Rows)))
-		if rp.Profile != nil {
-			leg.SetInt("points_scanned", rp.Profile.PointsScanned)
-			leg.SetInt("leaf_pages_read", rp.Profile.LeafPagesRead)
-			leg.SetInt("leaf_pages_skipped", rp.Profile.LeafPagesSkipped)
+		sh.generation.Store(int64(gens[i]))
+		leg.SetInt("generation", int64(gens[i]))
+		leg.SetInt("rows", int64(len(parts[i])))
+		if wprof != nil {
+			leg.SetInt("points_scanned", wprof.PointsScanned)
+			leg.SetInt("leaf_pages_read", wprof.LeafPagesRead)
+			leg.SetInt("leaf_pages_skipped", wprof.LeafPagesSkipped)
 		}
 		leg.End()
 		return nil
@@ -661,7 +680,8 @@ func (c *Coordinator) QueryBatchCtx(ctx context.Context, qs []workload.Query, pa
 	}
 	parts := make([][][]workload.Row, len(c.shards))
 	gens := make([]int, len(c.shards))
-	req, err := marshalFrame(FrameQueryBatch, 0, queryBatchPayload{Queries: qs, Parallelism: parallelism, TraceID: tid})
+	req, err := endFrame(appendQueryBatchRequest(
+		appendHeader(nil, FrameQueryBatch, c.lastID.Add(1), 0), qs, parallelism, tid))
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -672,24 +692,22 @@ func (c *Coordinator) QueryBatchCtx(ctx context.Context, qs []workload.Query, pa
 			leg = sp.Child("shard")
 			leg.SetStr("addr", sh.addr)
 		}
-		reply, att, rerr := c.roundTrip(ctx, sh, req, FrameRowsBatch, c.cfg.Retries, c.cfg.RequestTimeout)
+		att, rerr := c.roundTrip(ctx, sh, req, FrameRowsBatch, c.cfg.Retries, c.cfg.RequestTimeout,
+			func(sc *shardConn, payload []byte) (derr error) {
+				gens[i], parts[i], derr = decodeRowsBatchReply(payload, &sc.col)
+				return derr
+			})
 		leg.SetInt("attempts", int64(att))
 		defer leg.End()
 		if rerr != nil {
 			leg.SetStr("error", rerr.Error())
 			return rerr
 		}
-		var rp rowsBatchPayload
-		if uerr := unmarshalFrame(reply, &rp); uerr != nil {
-			leg.SetStr("error", uerr.Error())
-			return uerr
+		if len(parts[i]) != len(qs) {
+			return fmt.Errorf("dist: shard %s answered %d results for %d queries", sh.addr, len(parts[i]), len(qs))
 		}
-		if len(rp.Results) != len(qs) {
-			return fmt.Errorf("dist: shard %s answered %d results for %d queries", sh.addr, len(rp.Results), len(qs))
-		}
-		parts[i], gens[i] = rp.Results, rp.Generation
-		sh.generation.Store(int64(rp.Generation))
-		leg.SetInt("generation", int64(rp.Generation))
+		sh.generation.Store(int64(gens[i]))
+		leg.SetInt("generation", int64(gens[i]))
 		return nil
 	})
 	if err != nil {
@@ -734,22 +752,12 @@ func (c *Coordinator) Update(rows cube.RowIter) error {
 	prepStart := time.Now()
 	gens := make([]int, len(c.shards))
 	_, err = c.scatter(func(i int, sh *shard) error {
-		req, err := marshalFrame(FrameRefreshPrepare, 0, refreshPreparePayload{
-			CSV: csvs[i], Measure: PartitionMeasure})
-		if err != nil {
-			return err
-		}
-		reply, _, err := c.roundTrip(context.Background(), sh, req, FrameRefreshPrepared,
-			c.cfg.Retries, c.cfg.PrepareTimeout)
-		if err != nil {
-			return err
-		}
 		var pp refreshPreparedPayload
-		if err := unmarshalFrame(reply, &pp); err != nil {
-			return err
-		}
+		err := c.control(context.Background(), sh, FrameRefreshPrepare,
+			refreshPreparePayload{CSV: csvs[i], Measure: PartitionMeasure},
+			FrameRefreshPrepared, &pp, c.cfg.Retries, c.cfg.PrepareTimeout)
 		gens[i] = pp.Generation
-		return nil
+		return err
 	})
 	c.m.prepareNS.Observe(time.Since(prepStart).Nanoseconds())
 	if err != nil {
@@ -763,17 +771,10 @@ func (c *Coordinator) Update(rows cube.RowIter) error {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	_, err = c.scatter(func(i int, sh *shard) error {
-		req, err := marshalFrame(FrameRefreshCommit, 0, refreshCommitPayload{Generation: gens[i]})
-		if err != nil {
-			return err
-		}
-		reply, _, err := c.roundTrip(context.Background(), sh, req, FrameRefreshAck,
-			c.cfg.CommitRetries, c.cfg.RequestTimeout)
-		if err != nil {
-			return err
-		}
 		var ack refreshAckPayload
-		if err := unmarshalFrame(reply, &ack); err != nil {
+		if err := c.control(context.Background(), sh, FrameRefreshCommit,
+			refreshCommitPayload{Generation: gens[i]},
+			FrameRefreshAck, &ack, c.cfg.CommitRetries, c.cfg.RequestTimeout); err != nil {
 			return err
 		}
 		sh.generation.Store(int64(ack.Generation))
@@ -789,17 +790,17 @@ func (c *Coordinator) Update(rows cube.RowIter) error {
 // abortAll best-effort discards pending refreshes on every shard.
 func (c *Coordinator) abortAll() {
 	c.scatter(func(i int, sh *shard) error {
-		req, err := marshalFrame(FrameRefreshAbort, 0, struct{}{})
-		if err != nil {
-			return err
-		}
-		c.roundTrip(context.Background(), sh, req, FrameRefreshAck, 1, c.cfg.RequestTimeout)
+		var ack refreshAckPayload
+		// Best effort: a shard that cannot be reached drops its pending
+		// generation at its next prepare or restart.
+		_ = c.control(context.Background(), sh, FrameRefreshAbort, struct{}{},
+			FrameRefreshAck, &ack, 1, c.cfg.RequestTimeout)
 		return nil
 	})
 }
 
 // metricsRequestRetries deliberately under-budgets the debug scrape: a dead
-// (or pre-metrics) worker should surface quickly as a per-shard error on
+// worker should surface quickly as a per-shard error on
 // /debug/cluster, not stall the whole page behind the full query retry loop.
 const metricsRequestRetries = 1
 

@@ -3,10 +3,14 @@ package dist_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -386,5 +390,143 @@ func TestConnectBackoff(t *testing.T) {
 	rows, err := coord.QueryCtx(context.Background(), cubetree.Query{Node: []lattice.Attr{}})
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("query after backoff = %v, %v", rows, err)
+	}
+}
+
+// serveV1Stub accepts connections and speaks protocol version 1 framing by
+// hand — the header layout every version shares, JSON payloads — answering
+// whatever it is sent with a v1 stats reply.
+func serveV1Stub(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				var hdr [18]byte
+				for {
+					if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+						return
+					}
+					n := binary.BigEndian.Uint32(hdr[14:18])
+					if _, err := io.CopyN(io.Discard, conn, int64(n)); err != nil {
+						return
+					}
+					body := `{"generation":1,"views":[{"name":"all","attrs":[]}],"domains":{},"schema":["sum","count"],"points":1,"bytes":64}`
+					hdr[4], hdr[5] = 1, byte(dist.FrameStatsReply)
+					binary.BigEndian.PutUint32(hdr[14:18], uint32(len(body)))
+					if _, err := conn.Write(append(hdr[:], body...)); err != nil {
+						return
+					}
+				}
+			}(conn)
+		}
+	}()
+	return ln
+}
+
+// TestOldProtocolWorkerRefused pins the mixed-version contract: a worker
+// speaking protocol version 1 is refused at connect with one attempt — not
+// ridden through the retry budget's back-offs — and the error names the
+// shard and both versions.
+func TestOldProtocolWorkerRefused(t *testing.T) {
+	ln := serveV1Stub(t)
+	start := time.Now()
+	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{Shards: []string{ln.Addr().String()}})
+	elapsed := time.Since(start)
+	if err == nil {
+		coord.Close()
+		t.Fatal("coordinator accepted a v1 worker")
+	}
+	var se *dist.ShardError
+	if !errors.As(err, &se) || se.Addr != ln.Addr().String() || se.Code != dist.ErrCodeBadProtocol || se.Attempts != 1 {
+		t.Fatalf("err = %v (%+v), want a one-attempt %s *ShardError naming the shard", err, se, dist.ErrCodeBadProtocol)
+	}
+	var ve *dist.VersionError
+	if !errors.As(err, &ve) || ve.Got != 1 || ve.Want != dist.Version {
+		t.Fatalf("err = %v, want a *VersionError{Got: 1, Want: %d}", err, dist.Version)
+	}
+	for _, want := range []string{ln.Addr().String(), "version 1", fmt.Sprintf("speaks %d", dist.Version)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+	// The default budget's back-offs alone (50+100+200+400 ms) would take 750 ms.
+	if elapsed > 400*time.Millisecond {
+		t.Fatalf("refusal took %v: the version mismatch was retried", elapsed)
+	}
+}
+
+// TestWorkerRefusesOtherVersion sends a real worker a well-formed header of
+// another version: it must answer exactly one bad_protocol error frame
+// echoing the request ID, then close — and a coordinator handed that frame
+// must not retry either.
+func TestWorkerRefusesOtherVersion(t *testing.T) {
+	cl := startCluster(t, 1, synthFacts(50, 11), nil)
+	conn, err := net.Dial("tcp", cl.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	var req bytes.Buffer
+	if err := dist.EncodeFrame(&req, dist.Frame{Type: dist.FrameHealth, ID: 77, Payload: []byte("{}")}); err != nil {
+		t.Fatal(err)
+	}
+	wire := req.Bytes()
+	wire[4] = 1
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	f, err := dist.DecodeFrame(conn)
+	if err != nil {
+		t.Fatalf("no refusal frame: %v", err)
+	}
+	var ep struct {
+		Code, Msg string
+		Retryable bool
+	}
+	if err := json.Unmarshal(f.Payload, &ep); err != nil {
+		t.Fatal(err)
+	}
+	if f.Type != dist.FrameError || f.ID != 77 || ep.Code != dist.ErrCodeBadProtocol || ep.Retryable {
+		t.Fatalf("refusal = %s id %d %+v", f.Type, f.ID, ep)
+	}
+	if _, err := dist.DecodeFrame(conn); err != io.EOF {
+		t.Fatalf("after the refusal: %v, want the worker to close", err)
+	}
+
+	// The coordinator's side of the same frame: permanent, one attempt.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				defer c.Close()
+				if in, err := dist.DecodeFrame(c); err == nil {
+					dist.EncodeFrame(c, dist.Frame{Type: dist.FrameError, ID: in.ID, Payload: f.Payload})
+				}
+			}(c)
+		}
+	}()
+	_, err = dist.NewCoordinator(dist.CoordinatorConfig{Shards: []string{ln.Addr().String()}, RetryBackoff: time.Second})
+	var se *dist.ShardError
+	if !errors.As(err, &se) || se.Code != dist.ErrCodeBadProtocol || se.Attempts != 1 {
+		t.Fatalf("err = %v, want a one-attempt %s *ShardError", err, dist.ErrCodeBadProtocol)
 	}
 }

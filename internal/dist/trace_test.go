@@ -293,91 +293,3 @@ func TestClusterInfoScrape(t *testing.T) {
 		t.Fatalf("fleet query_total = %d, per-shard sum = %d", got, workerSum)
 	}
 }
-
-// TestOldProtocolWorkerAnswersQueries pins the compatibility contract for
-// the fields added after protocol v1 shipped: a worker that has never heard
-// of trace_id or profile — simulated here by a stub speaking the original
-// payload shapes with plain JSON decoding — still answers a profiled,
-// traced query. The coordinator gets rows, and that shard's profile entry
-// simply has no worker-side breakdown.
-func TestOldProtocolWorkerAnswersQueries(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				for {
-					f, err := dist.DecodeFrame(conn)
-					if err != nil {
-						return
-					}
-					var reply dist.Frame
-					switch f.Type {
-					case dist.FrameStats:
-						reply = dist.Frame{Type: dist.FrameStatsReply, ID: f.ID, Payload: []byte(
-							`{"generation":1,"views":[{"name":"all","attrs":[]}],"domains":{},"schema":["sum","count"],"points":1,"bytes":64}`)}
-					case dist.FrameHealth:
-						reply = dist.Frame{Type: dist.FrameHealthReply, ID: f.ID, Payload: []byte(`{"generation":1}`)}
-					case dist.FrameQuery:
-						// An old worker decodes with plain json.Unmarshal, so the
-						// new trace_id/profile fields are silently ignored; its
-						// reply has no profile field at all.
-						reply = dist.Frame{Type: dist.FrameRows, ID: f.ID, Payload: []byte(
-							`{"generation":1,"rows":[{"Group":[],"Sum":42,"Count":2}]}`)}
-					default:
-						// Unknown frame types make an old worker drop the
-						// connection — FrameMetrics lands here by design.
-						return
-					}
-					if err := dist.EncodeFrame(conn, reply); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
-		Shards:       []string{ln.Addr().String()},
-		Retries:      1,
-		RetryBackoff: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	ctx := obs.WithTraceID(context.Background(), obs.NewTraceID())
-	prof := &workload.QueryProfile{}
-	rows, err := coord.QueryProfiledCtx(ctx, cubetree.Query{}, prof)
-	if err != nil {
-		t.Fatalf("profiled query against old worker: %v", err)
-	}
-	if len(rows) != 1 || rows[0].Sum != 42 || rows[0].Count != 2 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	if len(prof.Shards) != 1 {
-		t.Fatalf("profile shards = %+v", prof.Shards)
-	}
-	if prof.Shards[0].Profile != nil {
-		t.Fatal("old worker cannot have produced a worker-side profile")
-	}
-	if prof.PointsScanned != 0 {
-		t.Fatalf("fleet sums counted a shard that reported nothing: %+v", *prof)
-	}
-
-	// The metrics scrape against an old worker fails per-shard without
-	// failing the endpoint.
-	info := coord.ClusterInfo(ctx)
-	if len(info.Shards) != 1 || info.Shards[0].Error == "" {
-		t.Fatalf("cluster info vs old worker = %+v", info.Shards)
-	}
-}

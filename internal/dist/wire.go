@@ -25,14 +25,17 @@ import (
 	"io"
 
 	"cubetree/internal/obs"
-	"cubetree/internal/workload"
 )
 
 const (
 	// Magic opens every frame: "CTDW" (CubeTree Distributed Wire).
 	Magic = 0x43544457
-	// Version is the protocol version carried in every frame header.
-	Version = 1
+	// Version is the protocol version carried in every frame header. Version
+	// 2 kept the header and made the query, rows, queryBatch and rowsBatch
+	// payloads binary (codec.go); every process of a cluster is the same
+	// binary, so versions are not negotiated — a peer speaking another one is
+	// refused with a *VersionError.
+	Version = 2
 	// headerLen is the fixed frame header size: magic u32, version u8,
 	// type u8, request id u64, payload length u32, all big-endian.
 	headerLen = 18
@@ -82,10 +85,7 @@ const (
 	FrameError
 	// FrameMetrics requests the shard's observability snapshot (metrics
 	// registry plus warehouse sizes) for /debug/cluster; answered by
-	// FrameMetricsReply. Added after protocol v1 shipped: a pre-metrics
-	// worker rejects the unknown type and drops the connection, which the
-	// coordinator surfaces as a per-shard scrape error on the debug endpoint
-	// — the query path never sends this frame, so old workers keep serving.
+	// FrameMetricsReply.
 	FrameMetrics
 	// FrameMetricsReply carries the shard's metric snapshot.
 	FrameMetricsReply
@@ -93,7 +93,7 @@ const (
 	frameTypeMax = FrameMetricsReply
 )
 
-var frameNames = map[FrameType]string{
+var frameNames = [frameTypeMax + 1]string{
 	FrameQuery: "query", FrameRows: "rows",
 	FrameQueryBatch: "queryBatch", FrameRowsBatch: "rowsBatch",
 	FrameRefreshPrepare: "refreshPrepare", FrameRefreshPrepared: "refreshPrepared",
@@ -104,10 +104,10 @@ var frameNames = map[FrameType]string{
 }
 
 func (t FrameType) String() string {
-	if n, ok := frameNames[t]; ok {
-		return n
+	if t == 0 || t > frameTypeMax {
+		return fmt.Sprintf("frame(%d)", uint8(t))
 	}
-	return fmt.Sprintf("frame(%d)", uint8(t))
+	return frameNames[t]
 }
 
 // Frame is one decoded protocol frame. ID correlates a reply with its
@@ -119,66 +119,125 @@ type Frame struct {
 	Payload []byte
 }
 
+// VersionError reports a well-formed frame header (right magic) carrying a
+// protocol version other than this binary's. It is permanent: the peer is a
+// different build, and retrying cannot change that.
+type VersionError struct {
+	Got, Want uint8
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("dist: peer speaks wire protocol version %d, this binary speaks %d", e.Got, e.Want)
+}
+
+// appendHeader appends a frame header announcing n payload bytes.
+func appendHeader(dst []byte, t FrameType, id uint64, n int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, Magic)
+	dst = append(dst, Version, byte(t))
+	dst = binary.BigEndian.AppendUint64(dst, id)
+	return binary.BigEndian.AppendUint32(dst, uint32(n))
+}
+
+// endFrame completes a frame built in place — appendHeader(buf[:0], t, id, 0)
+// followed by the payload — by writing the payload length into its header.
+func endFrame(frame []byte) ([]byte, error) {
+	n := len(frame) - headerLen
+	if n > MaxFramePayload {
+		return nil, fmt.Errorf("dist: payload %d exceeds frame limit %d", n, MaxFramePayload)
+	}
+	binary.BigEndian.PutUint32(frame[14:18], uint32(n))
+	return frame, nil
+}
+
+// appendJSONFrame appends a whole control frame whose payload is v as JSON.
+func appendJSONFrame(dst []byte, t FrameType, id uint64, v any) ([]byte, error) {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return endFrame(append(appendHeader(dst, t, id, 0), payload...))
+}
+
+// unmarshalJSON decodes a control frame's JSON payload into v.
+func unmarshalJSON(t FrameType, payload []byte, v any) error {
+	if err := json.Unmarshal(payload, v); err != nil {
+		return fmt.Errorf("dist: bad %s payload: %w", t, err)
+	}
+	return nil
+}
+
 // EncodeFrame writes one frame to w.
 func EncodeFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxFramePayload {
 		return fmt.Errorf("dist: payload %d exceeds frame limit %d", len(f.Payload), MaxFramePayload)
 	}
 	var hdr [headerLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], Magic)
-	hdr[4] = Version
-	hdr[5] = byte(f.Type)
-	binary.BigEndian.PutUint64(hdr[6:14], f.ID)
-	binary.BigEndian.PutUint32(hdr[14:18], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(appendHeader(hdr[:0], f.Type, f.ID, len(f.Payload))); err != nil {
 		return err
 	}
 	_, err := w.Write(f.Payload)
 	return err
 }
 
-// DecodeFrame reads one frame from r. Header violations (bad magic, unknown
-// version or type, oversized length) return an error without consuming the
-// payload; the connection is then unusable and must be closed. A clean EOF
-// between frames returns io.EOF.
+// DecodeFrame reads one frame from r. Header violations (bad magic, another
+// version — a *VersionError, returned with the frame's ID — unknown type,
+// oversized length) return an error without consuming the payload; the
+// connection is then unusable and must be closed. A clean EOF between frames
+// returns io.EOF.
 func DecodeFrame(r io.Reader) (Frame, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+	f, _, err := readFrame(r, nil)
+	return f, err
+}
+
+// readFrame is DecodeFrame reading into buf, which it returns (grown if it
+// had to be) for the next call: the frame's payload aliases it, so it is
+// valid only until then. A connection that reads every frame through one
+// buffer allocates nothing per frame once the buffer has grown to its
+// traffic.
+func readFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
+	if cap(buf) < headerLen {
+		buf = make([]byte, 0, 512)
+	}
+	hdr := buf[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return Frame{}, buf, err
 	}
 	if m := binary.BigEndian.Uint32(hdr[0:4]); m != Magic {
-		return Frame{}, fmt.Errorf("dist: bad magic 0x%08x", m)
+		return Frame{}, buf, fmt.Errorf("dist: bad magic 0x%08x", m)
 	}
+	f := Frame{Type: FrameType(hdr[5]), ID: binary.BigEndian.Uint64(hdr[6:14])}
 	if hdr[4] != Version {
-		return Frame{}, fmt.Errorf("dist: unsupported protocol version %d", hdr[4])
+		// The header layout is the same in every version, so the ID is
+		// returned with the error: a refusal can echo it.
+		return Frame{ID: f.ID}, buf, &VersionError{Got: hdr[4], Want: Version}
 	}
-	t := FrameType(hdr[5])
-	if t == 0 || t > frameTypeMax {
-		return Frame{}, fmt.Errorf("dist: unknown frame type %d", hdr[5])
+	if f.Type == 0 || f.Type > frameTypeMax {
+		return Frame{}, buf, fmt.Errorf("dist: unknown frame type %d", hdr[5])
 	}
 	n := binary.BigEndian.Uint32(hdr[14:18])
 	if n > MaxFramePayload {
-		return Frame{}, fmt.Errorf("dist: payload length %d exceeds frame limit %d", n, MaxFramePayload)
+		return Frame{}, buf, fmt.Errorf("dist: payload length %d exceeds frame limit %d", n, MaxFramePayload)
 	}
-	payload, err := readPayload(r, int(n))
+	buf, err := readPayload(r, buf, int(n))
 	if err != nil {
-		return Frame{}, fmt.Errorf("dist: short frame payload: %w", err)
+		return Frame{}, buf, fmt.Errorf("dist: short frame payload: %w", err)
 	}
-	return Frame{Type: t, ID: binary.BigEndian.Uint64(hdr[6:14]), Payload: payload}, nil
+	if n > 0 {
+		f.Payload = buf
+	}
+	return f, buf, nil
 }
 
-// readPayload reads exactly n bytes without trusting n for the initial
-// allocation: the buffer grows in bounded steps as bytes actually arrive,
-// so a header declaring a huge length on a truncated or hostile stream
-// cannot balloon memory beyond what was really sent.
-func readPayload(r io.Reader, n int) ([]byte, error) {
+// readPayload reads exactly n bytes into buf[:0] without trusting n for an
+// allocation: beyond the capacity buf already has, it grows in bounded steps
+// as bytes actually arrive, so a header declaring a huge length on a
+// truncated or hostile stream cannot balloon memory beyond what was really
+// sent.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
 	const chunk = 64 << 10
-	if n == 0 {
-		return nil, nil
-	}
-	buf := make([]byte, 0, min(n, chunk))
+	buf = buf[:0]
 	for len(buf) < n {
-		m := min(n-len(buf), chunk)
+		m := min(n-len(buf), max(chunk, cap(buf)-len(buf)))
 		if cap(buf)-len(buf) < m {
 			grown := make([]byte, len(buf), min(n, 2*(len(buf)+m)))
 			copy(grown, buf)
@@ -187,27 +246,23 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 		start := len(buf)
 		buf = buf[:start+m]
 		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
+			return buf, err
 		}
 	}
 	return buf, nil
 }
 
-// marshalFrame builds a frame with a JSON payload.
-func marshalFrame(t FrameType, id uint64, v any) (Frame, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return Frame{}, err
-	}
-	return Frame{Type: t, ID: id, Payload: payload}, nil
-}
+// maxKeptBuffer bounds the frame buffer a connection keeps between
+// exchanges: one that a large answer or refresh delta grew beyond it is
+// dropped rather than pinned for the connection's life.
+const maxKeptBuffer = 1 << 20
 
-// unmarshalFrame decodes a frame's JSON payload into v.
-func unmarshalFrame(f Frame, v any) error {
-	if err := json.Unmarshal(f.Payload, v); err != nil {
-		return fmt.Errorf("dist: bad %s payload: %w", f.Type, err)
+// keep returns buf for reuse, or nil when it outgrew maxKeptBuffer.
+func keep(buf []byte) []byte {
+	if cap(buf) > maxKeptBuffer {
+		return nil
 	}
-	return nil
+	return buf
 }
 
 // Error codes carried in errorPayload.Code.
@@ -224,47 +279,10 @@ const (
 	// ErrCodeOverloaded marks a transiently unservable request (e.g. the
 	// shard's buffer pool is exhausted); the coordinator may retry.
 	ErrCodeOverloaded = "overloaded"
+	// ErrCodeBadProtocol is the one frame a worker answers to a peer whose
+	// header carries another protocol version, before closing on it.
+	ErrCodeBadProtocol = "bad_protocol"
 )
-
-// queryPayload is FrameQuery's body. TraceID and Profile were added after
-// protocol v1 shipped; payloads are decoded with plain json.Unmarshal on both
-// sides, so a pre-tracing worker ignores the extra fields and still answers
-// (its reply simply lacks the profile), and a new worker treats their absence
-// as untraced/unprofiled. This field-level versioning is why the header
-// version byte did not need to change.
-type queryPayload struct {
-	Query   workload.Query `json:"query"`
-	TraceID string         `json:"trace_id,omitempty"`
-	Profile bool           `json:"profile,omitempty"`
-}
-
-// rowsPayload is FrameRows's body: the shard's partial rows and the
-// generation they were computed against. Profile carries the worker-side
-// EXPLAIN-ANALYZE breakdown when the request asked for one (absent from
-// pre-tracing workers, which the coordinator tolerates).
-type rowsPayload struct {
-	Generation int                    `json:"generation"`
-	Rows       []workload.Row         `json:"rows"`
-	Profile    *workload.QueryProfile `json:"profile,omitempty"`
-}
-
-// queryBatchPayload is FrameQueryBatch's body. Parallelism bounds the
-// worker-side execution parallelism (<= 1 means serial). TraceID tags the
-// worker-side spans of every query in the batch (same compatibility story as
-// queryPayload); batches are never profiled — a profiled statement is sent
-// as an individual FrameQuery instead.
-type queryBatchPayload struct {
-	Queries     []workload.Query `json:"queries"`
-	Parallelism int              `json:"parallelism"`
-	TraceID     string           `json:"trace_id,omitempty"`
-}
-
-// rowsBatchPayload is FrameRowsBatch's body, one partial result slice per
-// query in request order.
-type rowsBatchPayload struct {
-	Generation int              `json:"generation"`
-	Results    [][]workload.Row `json:"results"`
-}
 
 // refreshPreparePayload is FrameRefreshPrepare's body: the shard's slice of
 // the delta as a CSV document (header row naming attributes plus the

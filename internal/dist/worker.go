@@ -59,7 +59,10 @@ type Worker struct {
 	csv     CSVSource
 	o       *obs.Observer
 
-	requests *obs.CounterVec
+	requestVec *obs.CounterVec
+	// requests caches requestVec's children by frame type, each resolved at
+	// the first frame of its type, so a frame costs no family lookup.
+	requests [frameTypeMax + 1]atomic.Pointer[obs.Counter]
 	errs     *obs.Counter
 
 	mu      sync.Mutex // guards conns, pending, ln
@@ -77,7 +80,7 @@ type Worker struct {
 func NewWorker(backend Backend, csv CSVSource, o *obs.Observer) *Worker {
 	w := &Worker{backend: backend, csv: csv, o: o, conns: map[net.Conn]struct{}{}}
 	if o != nil {
-		w.requests = o.Registry.CounterVec("dist_worker_requests_total", "type")
+		w.requestVec = o.Registry.CounterVec("dist_worker_requests_total", "type")
 		w.errs = o.Registry.Counter("dist_worker_errors_total")
 	}
 	return w
@@ -143,6 +146,24 @@ func (w *Worker) Close() error {
 	return nil
 }
 
+// countRequest counts one request frame into dist_worker_requests_total.
+func (w *Worker) countRequest(t FrameType) {
+	c := w.requests[t].Load()
+	if c == nil {
+		c = w.requestVec.With(t.String())
+		w.requests[t].Store(c)
+	}
+	c.Inc()
+}
+
+// connScratch is what one worker connection reuses from frame to frame: the
+// request payload buffer, the reply frame buffer and the row-set encoder's
+// column scratch.
+type connScratch struct {
+	in, out []byte
+	col     []int64
+}
+
 func (w *Worker) handleConn(conn net.Conn) {
 	defer w.wg.Done()
 	defer func() {
@@ -152,22 +173,31 @@ func (w *Worker) handleConn(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
+	var s connScratch
 	for {
-		f, err := DecodeFrame(br)
+		f, in, err := readFrame(br, s.in)
+		s.in = keep(in)
 		if err != nil {
-			return // EOF, peer reset, or protocol violation: drop the conn
-		}
-		w.requests.With(f.Type.String()).Inc()
-		reply, err := w.dispatch(f)
-		if err != nil {
-			w.errs.Inc()
-			reply = w.errorFrame(f.ID, err)
-		}
-		if err := EncodeFrame(bw, reply); err != nil {
+			// EOF, peer reset, or protocol violation: drop the conn — after
+			// telling a peer of another version why, so it fails at once
+			// instead of retrying into the same wall.
+			var ve *VersionError
+			if errors.As(err, &ve) {
+				w.errs.Inc()
+				// Best effort: the conn is closed next whether or not this lands.
+				_, _ = conn.Write(w.errorFrame(nil, f.ID, &wireError{code: ErrCodeBadProtocol, err: err}))
+			}
 			return
 		}
-		if err := bw.Flush(); err != nil {
+		w.countRequest(f.Type)
+		reply, err := w.dispatch(f, &s)
+		if err != nil {
+			w.errs.Inc()
+			reply = w.errorFrame(s.out[:0], f.ID, err)
+		}
+		s.out = keep(reply)
+		// One Write per reply: header and payload were built in one buffer.
+		if _, err := conn.Write(reply); err != nil {
 			return
 		}
 	}
@@ -185,7 +215,8 @@ type wireError struct {
 func (e *wireError) Error() string { return e.err.Error() }
 func (e *wireError) Unwrap() error { return e.err }
 
-func (w *Worker) errorFrame(id uint64, err error) Frame {
+// errorFrame builds the error reply for err in dst.
+func (w *Worker) errorFrame(dst []byte, id uint64, err error) []byte {
 	p := errorPayload{Code: ErrCodeQuery, Msg: err.Error()}
 	var we *wireError
 	if errors.As(err, &we) {
@@ -198,9 +229,9 @@ func (w *Worker) errorFrame(id uint64, err error) Frame {
 			p.Code, p.Retryable, p.RetryAfterMS = ErrCodeOverloaded, true, 50
 		}
 	}
-	f, merr := marshalFrame(FrameError, id, p)
+	f, merr := appendJSONFrame(dst, FrameError, id, p)
 	if merr != nil {
-		f = Frame{Type: FrameError, ID: id}
+		return appendHeader(dst, FrameError, id, 0)
 	}
 	return f
 }
@@ -209,55 +240,61 @@ func badRequest(err error) error {
 	return &wireError{code: ErrCodeBadRequest, err: err}
 }
 
-func (w *Worker) dispatch(f Frame) (Frame, error) {
+// dispatch executes one request and returns its whole reply frame, built in
+// s.out's memory.
+func (w *Worker) dispatch(f Frame, s *connScratch) ([]byte, error) {
+	out := s.out[:0]
 	switch f.Type {
 	case FrameQuery:
-		var p queryPayload
-		if err := unmarshalFrame(f, &p); err != nil {
-			return Frame{}, badRequest(err)
+		q, traceID, profile, err := decodeQueryRequest(f.Payload)
+		if err != nil {
+			return nil, badRequest(err)
 		}
 		// The coordinator's trace ID rides the payload into this shard's
 		// context, so the engine tags its spans (and slow-log entries) with
 		// it and /debug/traces here can be filtered to the same request.
-		ctx := obs.WithTraceID(context.Background(), p.TraceID)
+		ctx := obs.WithTraceID(context.Background(), traceID)
 		var prof *workload.QueryProfile
 		var rows []workload.Row
-		var err error
-		if p.Profile {
-			prof = &workload.QueryProfile{TraceID: p.TraceID}
-			rows, err = w.backend.QueryProfiledCtx(ctx, p.Query, prof)
+		if profile {
+			prof = &workload.QueryProfile{TraceID: traceID}
+			rows, err = w.backend.QueryProfiledCtx(ctx, q, prof)
 		} else {
-			rows, err = w.backend.QueryCtx(ctx, p.Query)
+			rows, err = w.backend.QueryCtx(ctx, q)
 		}
 		if err != nil {
-			return Frame{}, err
+			return nil, err
 		}
-		return marshalFrame(FrameRows, f.ID, rowsPayload{
-			Generation: w.backend.Generation(), Rows: rows, Profile: prof})
+		out, err = appendRowsReply(appendHeader(out, FrameRows, f.ID, 0),
+			w.backend.Generation(), rows, prof, &s.col)
+		if err != nil {
+			return nil, err
+		}
+		return endFrame(out)
 	case FrameQueryBatch:
-		var p queryBatchPayload
-		if err := unmarshalFrame(f, &p); err != nil {
-			return Frame{}, badRequest(err)
-		}
-		ctx := obs.WithTraceID(context.Background(), p.TraceID)
-		results, err := w.backend.QueryBatchCtx(ctx, p.Queries, p.Parallelism)
+		qs, parallelism, traceID, err := decodeQueryBatchRequest(f.Payload)
 		if err != nil {
-			return Frame{}, err
+			return nil, badRequest(err)
 		}
-		return marshalFrame(FrameRowsBatch, f.ID, rowsBatchPayload{
-			Generation: w.backend.Generation(), Results: results})
+		ctx := obs.WithTraceID(context.Background(), traceID)
+		results, err := w.backend.QueryBatchCtx(ctx, qs, parallelism)
+		if err != nil {
+			return nil, err
+		}
+		return endFrame(appendRowsBatchReply(appendHeader(out, FrameRowsBatch, f.ID, 0),
+			w.backend.Generation(), results, &s.col))
 	case FrameRefreshPrepare:
 		var p refreshPreparePayload
-		if err := unmarshalFrame(f, &p); err != nil {
-			return Frame{}, badRequest(err)
+		if err := unmarshalJSON(f.Type, f.Payload, &p); err != nil {
+			return nil, badRequest(err)
 		}
-		return w.prepare(f.ID, p)
+		return w.prepare(out, f.ID, p)
 	case FrameRefreshCommit:
 		var p refreshCommitPayload
-		if err := unmarshalFrame(f, &p); err != nil {
-			return Frame{}, badRequest(err)
+		if err := unmarshalJSON(f.Type, f.Payload, &p); err != nil {
+			return nil, badRequest(err)
 		}
-		return w.commit(f.ID, p.Generation)
+		return w.commit(out, f.ID, p.Generation)
 	case FrameRefreshAbort:
 		w.refreshMu.Lock()
 		defer w.refreshMu.Unlock()
@@ -267,10 +304,10 @@ func (w *Worker) dispatch(f Frame) (Frame, error) {
 		w.mu.Unlock()
 		if pending != nil {
 			if err := pending.Abort(); err != nil {
-				return Frame{}, &wireError{code: ErrCodeRefresh, err: err}
+				return nil, &wireError{code: ErrCodeRefresh, err: err}
 			}
 		}
-		return marshalFrame(FrameRefreshAck, f.ID, refreshAckPayload{
+		return appendJSONFrame(out, FrameRefreshAck, f.ID, refreshAckPayload{
 			Generation: w.backend.Generation()})
 	case FrameStats:
 		views := w.backend.Views()
@@ -287,7 +324,7 @@ func (w *Worker) dispatch(f Frame) (Frame, error) {
 			domains[string(a)] = d
 		}
 		points, size := w.backend.Stat()
-		return marshalFrame(FrameStatsReply, f.ID, statsReplyPayload{
+		return appendJSONFrame(out, FrameStatsReply, f.ID, statsReplyPayload{
 			Generation: w.backend.Generation(),
 			Views:      wviews,
 			Domains:    domains,
@@ -296,17 +333,17 @@ func (w *Worker) dispatch(f Frame) (Frame, error) {
 			Bytes:      size,
 		})
 	case FrameHealth:
-		return marshalFrame(FrameHealthReply, f.ID, healthReplyPayload{
+		return appendJSONFrame(out, FrameHealthReply, f.ID, healthReplyPayload{
 			Generation: w.backend.Generation()})
 	case FrameMetrics:
 		var snap obs.Snapshot
 		if w.o != nil {
 			snap = w.o.Registry.Snapshot()
 		}
-		return marshalFrame(FrameMetricsReply, f.ID, metricsReplyPayload{
+		return appendJSONFrame(out, FrameMetricsReply, f.ID, metricsReplyPayload{
 			Generation: w.backend.Generation(), Metrics: snap})
 	default:
-		return Frame{}, badRequest(fmt.Errorf("dist: unexpected request frame %s", f.Type))
+		return nil, badRequest(fmt.Errorf("dist: unexpected request frame %s", f.Type))
 	}
 }
 
@@ -314,7 +351,7 @@ func (w *Worker) dispatch(f Frame) (Frame, error) {
 // re-prepare supersedes any earlier pending refresh (the coordinator is
 // retrying from the top), and an empty delta is acked as a no-op at the
 // current generation.
-func (w *Worker) prepare(id uint64, p refreshPreparePayload) (Frame, error) {
+func (w *Worker) prepare(out []byte, id uint64, p refreshPreparePayload) ([]byte, error) {
 	w.refreshMu.Lock()
 	defer w.refreshMu.Unlock()
 	w.mu.Lock()
@@ -325,21 +362,21 @@ func (w *Worker) prepare(id uint64, p refreshPreparePayload) (Frame, error) {
 		stale.Abort()
 	}
 	if !csvHasRows(p.CSV) {
-		return marshalFrame(FrameRefreshPrepared, id, refreshPreparedPayload{
+		return appendJSONFrame(out, FrameRefreshPrepared, id, refreshPreparedPayload{
 			Generation: w.backend.Generation(), NoOp: true})
 	}
 	src, err := w.csv(p.CSV, p.Measure)
 	if err != nil {
-		return Frame{}, badRequest(err)
+		return nil, badRequest(err)
 	}
 	pending, err := w.backend.BeginUpdate(src)
 	if err != nil {
-		return Frame{}, &wireError{code: ErrCodeRefresh, err: err}
+		return nil, &wireError{code: ErrCodeRefresh, err: err}
 	}
 	w.mu.Lock()
 	w.pending = pending
 	w.mu.Unlock()
-	return marshalFrame(FrameRefreshPrepared, id, refreshPreparedPayload{
+	return appendJSONFrame(out, FrameRefreshPrepared, id, refreshPreparedPayload{
 		Generation: pending.Generation()})
 }
 
@@ -348,7 +385,7 @@ func (w *Worker) prepare(id uint64, p refreshPreparePayload) (Frame, error) {
 // a lost ack, and commits of no-op prepares, idempotent. Any other
 // generation is a coordinator/worker divergence and is rejected as
 // non-retryable.
-func (w *Worker) commit(id uint64, gen int) (Frame, error) {
+func (w *Worker) commit(out []byte, id uint64, gen int) ([]byte, error) {
 	w.refreshMu.Lock()
 	defer w.refreshMu.Unlock()
 	w.mu.Lock()
@@ -357,7 +394,7 @@ func (w *Worker) commit(id uint64, gen int) (Frame, error) {
 	switch {
 	case pending != nil && pending.Generation() == gen:
 		if err := pending.Commit(); err != nil {
-			return Frame{}, &wireError{code: ErrCodeRefresh, err: err}
+			return nil, &wireError{code: ErrCodeRefresh, err: err}
 		}
 		w.mu.Lock()
 		w.pending = nil
@@ -369,10 +406,10 @@ func (w *Worker) commit(id uint64, gen int) (Frame, error) {
 		if pending != nil {
 			have = pending.Generation()
 		}
-		return Frame{}, &wireError{code: ErrCodeBadGeneration,
+		return nil, &wireError{code: ErrCodeBadGeneration,
 			err: fmt.Errorf("dist: commit generation %d, shard has %d", gen, have)}
 	}
-	return marshalFrame(FrameRefreshAck, id, refreshAckPayload{
+	return appendJSONFrame(out, FrameRefreshAck, id, refreshAckPayload{
 		Generation: w.backend.Generation()})
 }
 

@@ -133,7 +133,8 @@ func (q Query) String() string {
 //
 // The rows of one result share memory: every Group is a window of one
 // backing array and every Extra of another (MergePartials results share
-// their inputs' Group arrays instead). The windows are cap-limited, so
+// their inputs' Group arrays instead; rows decoded off the shard wire by
+// dist.DecodeRowSet are laid out the same way). The windows are cap-limited, so
 // appending to a row's Group or Extra copies rather than spilling into the
 // next row, and nothing else holds the arrays once the result is returned;
 // writing to an element in place is visible only through that row.
