@@ -42,7 +42,6 @@ func main() {
 		dbgAddr = flag.String("debug-addr", "", "serve /debug/metrics, /debug/traces, and pprof on this address while the run is live")
 		slow    = flag.Duration("slow", 0, "log queries at or above this latency to the slow-query log (0 = off)")
 		srvURL  = flag.String("server", "", "run the throughput sweep against a running cubetreed at this URL instead of building a local setup")
-		packFmt = flag.Int("pack-format", 0, "Cubetree leaf format: 1 = row-major v1, 2 = columnar v2 (0 = library default)")
 		measure = flag.Duration("measure", time.Second, "minimum measurement window per throughput-sweep row (batch repeats to fill it; 0 = single pass)")
 		workers = flag.String("workers", "1,2,4", "cluster sizes for -exp scaling, comma-separated")
 	)
@@ -67,7 +66,6 @@ func main() {
 		Model:          m,
 		Replicas:       !*noRepl,
 		Dir:            *dir,
-		PackFormat:     *packFmt,
 		MinMeasure:     *measure,
 	}
 	if p.PoolPages <= 0 {
@@ -220,7 +218,6 @@ func main() {
 			PoolPages:      *pool,
 			Workers:        ws,
 			MinMeasure:     *measure,
-			PackFormat:     *packFmt,
 		})
 		if err != nil {
 			fatal(err)

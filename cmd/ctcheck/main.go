@@ -6,12 +6,12 @@
 // It walks every page of every tree file of the committed generation,
 // verifies the per-page checksums, and then re-validates the forest's
 // structural and catalog invariants (packing order, MBR containment, point
-// totals, and forest.json's declared pack_format against the leaf layouts
-// actually on disk). It never modifies the warehouse. The exit status is 0 when the
-// warehouse is intact and 1 when any damage was found, so it can gate
-// backups and restarts in scripts. With -json the report is a single
-// machine-readable document on stdout (the scrub metrics registry snapshot
-// plus the verdict), in the style of ctbench's -json artifacts.
+// totals) and decode-verifies every leaf, reporting the census of leaf
+// layouts actually on disk. It never modifies the warehouse. The exit status
+// is 0 when the warehouse is intact and 1 when any damage was found, so it
+// can gate backups and restarts in scripts. With -json the report is a
+// single machine-readable document on stdout (the scrub metrics registry
+// snapshot plus the verdict), in the style of ctbench's -json artifacts.
 package main
 
 import (
@@ -37,9 +37,6 @@ type scrub struct {
 	stats *pager.Stats
 	reg   *obs.Registry
 	trees []treeScrub
-	// packFormat is forest.json's declared leaf layout (0 when the catalog
-	// predates the field), cross-checked against the per-tree leaf census.
-	packFormat int
 
 	filesScrubbed *obs.Counter // scrub_files_total
 	filesDamaged  *obs.Counter // scrub_files_damaged
@@ -56,12 +53,11 @@ type treeScrub struct {
 	DamagedPages uint64 `json:"damaged_pages"`
 	DurationNS   int64  `json:"duration_ns"`
 	Checksummed  bool   `json:"checksummed"`
-	// Leaf-format census from the decode-verify pass: which layout the
-	// tree's leaves use (1 = row-major, 2 = columnar) and the per-format
-	// page counts. Zero when the structural pass could not run.
-	LeafFormat int    `json:"leaf_format,omitempty"`
-	V1Leaves   uint64 `json:"v1_leaves,omitempty"`
-	V2Leaves   uint64 `json:"v2_leaves,omitempty"`
+	// Leaf-format census from the decode-verify pass: leaf pages per
+	// layout (v1 = read-only row-major, v2 = columnar). Zero when the
+	// structural pass could not run.
+	V1Leaves uint64 `json:"v1_leaves,omitempty"`
+	V2Leaves uint64 `json:"v2_leaves,omitempty"`
 }
 
 func newScrub(out io.Writer) *scrub {
@@ -192,15 +188,13 @@ func (s *scrub) scrubForest(dir string, verbose bool) bool {
 		return true
 	}
 	var cat struct {
-		Trees      []string `json:"trees"`
-		PackFormat int      `json:"pack_format"`
+		Trees []string `json:"trees"`
 	}
 	if err := json.Unmarshal(raw, &cat); err != nil {
 		s.errors.Inc()
 		fmt.Fprintf(s.out, "error: parse forest.json: %v\n", err)
 		return true
 	}
-	s.packFormat = cat.PackFormat
 	damaged := false
 	for _, name := range cat.Trees {
 		path := filepath.Join(dir, name)
@@ -275,34 +269,16 @@ func (s *scrub) checkInvariants(dir string, verbose bool) bool {
 			continue
 		}
 		if i < len(s.trees) {
-			s.trees[i].LeafFormat = info.Format()
 			s.trees[i].V1Leaves = info.V1Leaves
 			s.trees[i].V2Leaves = info.V2Leaves
 		}
-		// Cross-check the catalog's declared leaf layout against what is
-		// actually on disk: a forest claiming v2 must hold no v1 leaves and
-		// vice versa. Catalogs written before pack_format existed declare 0;
-		// that is noted, not failed, since the census alone is authoritative
-		// for them.
-		switch {
-		case s.packFormat == 0:
-			if i == 0 && (info.V1Leaves > 0 || info.V2Leaves > 0) {
-				fmt.Fprintf(s.out, "note: forest.json predates pack_format; leaf census not cross-checked\n")
-			}
-		case s.packFormat == 1 && info.V2Leaves > 0:
-			s.errors.Inc()
-			fmt.Fprintf(s.out, "error: tree %d: forest.json declares pack_format v1 but %d columnar v2 leaves are on disk\n",
-				i, info.V2Leaves)
-			damaged = true
-		case s.packFormat == 2 && info.V1Leaves > 0:
-			s.errors.Inc()
-			fmt.Fprintf(s.out, "error: tree %d: forest.json declares pack_format v2 but %d row-major v1 leaves are on disk\n",
+		if info.V1Leaves > 0 {
+			fmt.Fprintf(s.out, "note: tree %d holds %d read-only v1 leaves; the next refresh rewrites them as v2\n",
 				i, info.V1Leaves)
-			damaged = true
 		}
 		if verbose {
-			fmt.Fprintf(s.out, "tree %d: leaf format v%d (%d v1 leaves, %d v2 leaves, %d points)\n",
-				i, info.Format(), info.V1Leaves, info.V2Leaves, info.Points)
+			fmt.Fprintf(s.out, "tree %d: %d v1 leaves, %d v2 leaves, %d points\n",
+				i, info.V1Leaves, info.V2Leaves, info.Points)
 		}
 	}
 	if verbose {

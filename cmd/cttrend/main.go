@@ -7,8 +7,8 @@
 // The artifact kind is sniffed from the rows: a workers axis means a
 // scaling sweep (QPS and per-shard refresh window per cluster size),
 // anything else a throughput sweep (both engines' QPS per client count).
-// Baselines recorded by older builds that lack newer fields (pack_format
-// and friends) load fine; missing fields take their documented defaults.
+// Baselines recorded by older builds load fine: fields since retired (such
+// as pack_format) are ignored and missing ones take their documented defaults.
 // A drop beyond the threshold (default 10%) is a regression.
 //
 // Exit status: 0 when no regression, 1 when a regression is flagged (0 with
@@ -63,39 +63,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Both comparison kinds expose the same report surface.
-	var rep interface {
-		Regressed() bool
-		String() string
-	}
-	var regressions int
 	opts := experiment.TrendOptions{Threshold: *threshold}
+	var rep experiment.TrendReport
 	if baseKind == "scaling" {
-		base, err := experiment.LoadScaling(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintln(stderr, "cttrend:", err)
-			return 2
-		}
-		cur, err := experiment.LoadScaling(fs.Arg(1))
-		if err != nil {
-			fmt.Fprintln(stderr, "cttrend:", err)
-			return 2
-		}
-		r := experiment.CompareScaling(base, cur, opts)
-		rep, regressions = r, len(r.Regressions())
+		rep, err = compare(experiment.LoadScaling, experiment.CompareScaling, fs.Arg(0), fs.Arg(1), opts)
 	} else {
-		base, err := experiment.LoadThroughput(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintln(stderr, "cttrend:", err)
-			return 2
-		}
-		cur, err := experiment.LoadThroughput(fs.Arg(1))
-		if err != nil {
-			fmt.Fprintln(stderr, "cttrend:", err)
-			return 2
-		}
-		r := experiment.CompareThroughput(base, cur, opts)
-		rep, regressions = r, len(r.Regressions())
+		rep, err = compare(experiment.LoadThroughput, experiment.CompareThroughput, fs.Arg(0), fs.Arg(1), opts)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "cttrend:", err)
+		return 2
 	}
 	if *asJSON {
 		enc := json.NewEncoder(stdout)
@@ -107,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprint(stdout, rep)
 	}
-	if rep.Regressed() {
+	if regressions := len(rep.Regressions()); regressions > 0 {
 		if *warnOnly {
 			fmt.Fprintf(stderr, "cttrend: %d regression(s) beyond %.1f%% (warn-only)\n",
 				regressions, 100**threshold)
@@ -118,4 +95,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// compare loads both files as one artifact kind and diffs them.
+func compare[T any](load func(string) (T, error), diff func(base, cur T, opts experiment.TrendOptions) experiment.TrendReport,
+	basePath, curPath string, opts experiment.TrendOptions) (experiment.TrendReport, error) {
+	base, err := load(basePath)
+	if err != nil {
+		return experiment.TrendReport{}, err
+	}
+	cur, err := load(curPath)
+	if err != nil {
+		return experiment.TrendReport{}, err
+	}
+	return diff(base, cur, opts), nil
 }

@@ -149,21 +149,4 @@ type Config struct {
 	// to the warehouse; see NewObserver and ServeDebug. Optional: when nil,
 	// the query and refresh paths stay entirely uninstrumented.
 	Obs *Observer
-	// PackFormat selects the leaf page layout of every Cubetree:
-	// PackFormatV1 stores row-major fixed-width tuples, PackFormatV2 (the
-	// default) stores column-major leaves with delta/bit-packed coordinates
-	// and per-leaf zone maps. Files of either format remain readable
-	// regardless of this setting; it only affects what new builds and
-	// refreshes write.
-	PackFormat int
 }
-
-// Leaf pack formats for Config.PackFormat.
-const (
-	// PackFormatDefault lets the library choose (currently PackFormatV2).
-	PackFormatDefault = 0
-	// PackFormatV1 is the row-major fixed-width leaf layout.
-	PackFormatV1 = 1
-	// PackFormatV2 is the column-major compressed leaf layout.
-	PackFormatV2 = 2
-)

@@ -50,7 +50,6 @@ func (f *Forest) attachAnalytics(o *obs.Observer) {
 	runPages := reg.GaugeVec("view_run_leaf_pages", "view", "tree", "arity")
 	runPoints := reg.GaugeVec("view_run_points", "view", "tree", "arity")
 	ratio := reg.GaugeVec("view_compression_ratio", "view", "tree", "arity")
-	leafFormat := reg.GaugeVec("view_run_leaf_format", "view", "tree", "arity")
 	ptsPerPage := reg.GaugeVec("view_points_per_leaf_page", "view", "tree", "arity")
 	bytesPerPoint := reg.GaugeVec("view_encoded_bytes_per_point", "view", "tree", "arity")
 
@@ -74,8 +73,7 @@ func (f *Forest) attachAnalytics(o *obs.Observer) {
 		runPages.With(view, tree, arity).Set(float64(runLeafPages(p.Run)))
 		runPoints.With(view, tree, arity).Set(float64(p.Run.Points))
 		ratio.With(view, tree, arity).Set(f.compressionRatio(p))
-		format, ppp, bpp := f.runShape(p)
-		leafFormat.With(view, tree, arity).Set(float64(format))
+		ppp, bpp := runShape(p.Run)
 		ptsPerPage.With(view, tree, arity).Set(ppp)
 		bytesPerPoint.With(view, tree, arity).Set(bpp)
 
@@ -106,23 +104,18 @@ func (f *Forest) compressionRatio(p *Placement) float64 {
 	return float64(enc.TupleSize(p.Run.Arity+t.Measures())) / float64(full)
 }
 
-// runShape summarizes the physical shape of a placement's leaf run: the
-// leaf format actually on disk, the packing density (points per leaf page),
-// and the effective encoded bytes per point — total page bytes the run
-// occupies divided by its points. The last two are how the v2 columnar
-// layout's space win shows up in /debug/warehouse without re-reading the
-// run: v2 packs more points per page, so bytes per point drops.
-func (f *Forest) runShape(p *Placement) (format int, pointsPerPage, bytesPerPoint float64) {
-	format, err := f.trees[p.Tree].RunFormat(p.Run)
-	if err != nil {
-		format = 0
+// runShape summarizes the physical shape of a leaf run: the packing density
+// (points per leaf page) and the effective encoded bytes per point — total
+// page bytes the run occupies divided by its points. This is how the
+// columnar leaf layout's density shows up in /debug/warehouse without
+// re-reading the run.
+func runShape(r rtree.RunInfo) (pointsPerPage, bytesPerPoint float64) {
+	pages := runLeafPages(r)
+	if pages > 0 && r.Points > 0 {
+		pointsPerPage = float64(r.Points) / float64(pages)
+		bytesPerPoint = float64(pages) * float64(pager.PageSize) / float64(r.Points)
 	}
-	pages := runLeafPages(p.Run)
-	if pages > 0 && p.Run.Points > 0 {
-		pointsPerPage = float64(p.Run.Points) / float64(pages)
-		bytesPerPoint = float64(pages) * float64(pager.PageSize) / float64(p.Run.Points)
-	}
-	return format, pointsPerPage, bytesPerPoint
+	return pointsPerPage, bytesPerPoint
 }
 
 // runLeafPages returns the number of leaf pages a run occupies.
@@ -180,7 +173,6 @@ type ViewAnalytics struct {
 	RunPages         uint64  `json:"run_leaf_pages"`
 	RunPoints        int64   `json:"run_points"`
 	CompressionRatio float64 `json:"compression_ratio"`
-	LeafFormat       int     `json:"leaf_format"`
 	PointsPerPage    float64 `json:"points_per_leaf_page"`
 	BytesPerPoint    float64 `json:"encoded_bytes_per_point"`
 	QueryHits        uint64  `json:"query_hits"`
@@ -205,7 +197,7 @@ func (f *Forest) ViewAnalytics() []ViewAnalytics {
 			RunPoints:        p.Run.Points,
 			CompressionRatio: f.compressionRatio(p),
 		}
-		va.LeafFormat, va.PointsPerPage, va.BytesPerPoint = f.runShape(p)
+		va.PointsPerPage, va.BytesPerPoint = runShape(p.Run)
 		if f.viewMetrics != nil {
 			vm := &f.viewMetrics[i]
 			va.QueryHits = vm.hits.Value()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -248,20 +249,34 @@ func TestForestOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, err := Open(dir, nil)
+	// The catalog as written, then with the "pack_format" member builds
+	// wrote while the leaf layout was selectable: an unknown key now, ignored.
+	catalog := filepath.Join(dir, catalogFile)
+	written, err := os.ReadFile(catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
-	got, err := g.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !workload.EqualRows(got, want) {
-		t.Fatalf("reopened results differ: %+v vs %+v", got, want)
-	}
-	if len(g.Placements()) != 4 {
-		t.Fatalf("placements after reopen = %d", len(g.Placements()))
+	for _, stale := range []string{"", `"pack_format": 1,`, `"pack_format": 2,`} {
+		if err := os.WriteFile(catalog, append([]byte("{"+stale), written[1:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := Open(dir, nil)
+		if err != nil {
+			t.Fatalf("catalog with %q: %v", stale, err)
+		}
+		got, err := g.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !workload.EqualRows(got, want) {
+			t.Fatalf("reopened results differ: %+v vs %+v", got, want)
+		}
+		if len(g.Placements()) != 4 {
+			t.Fatalf("placements after reopen = %d", len(g.Placements()))
+		}
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -48,9 +48,6 @@ type BuildOptions struct {
 	// Span, when non-nil, receives one child span per packed tree (with a
 	// nested fsync span), tracing the merge-pack phase of a refresh.
 	Span *obs.Span
-	// PackFormat selects the leaf page layout (rtree.FormatV1 or
-	// rtree.FormatV2). Zero means rtree.DefaultFormat.
-	PackFormat int
 }
 
 // Forest is a collection of Cubetrees materializing a set of views, the
@@ -65,7 +62,6 @@ type Forest struct {
 	stats      *pager.Stats
 	poolPages  int
 	fanout     int
-	packFormat int
 	obs        *obs.Observer
 	// viewMetrics is parallel to placements; non-nil only while an observer
 	// is attached (see analytics.go).
@@ -119,7 +115,6 @@ type catalogJSON struct {
 	Schema     []string         `json:"schema,omitempty"`
 	PoolPages  int              `json:"pool_pages"`
 	Fanout     int              `json:"fanout,omitempty"`
-	PackFormat int              `json:"pack_format,omitempty"`
 }
 
 type placementJSON struct {
@@ -142,9 +137,6 @@ func Build(dir string, sources []*cube.ViewData, opts BuildOptions) (*Forest, er
 	}
 	if opts.Stats == nil {
 		opts.Stats = &pager.Stats{}
-	}
-	if opts.PackFormat == 0 {
-		opts.PackFormat = rtree.DefaultFormat
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -169,13 +161,12 @@ func Build(dir string, sources []*cube.ViewData, opts BuildOptions) (*Forest, er
 	}
 
 	f := &Forest{
-		dir:        dir,
-		domains:    opts.Domains,
-		schema:     schema,
-		stats:      opts.Stats,
-		poolPages:  opts.PoolPages,
-		fanout:     opts.Fanout,
-		packFormat: opts.PackFormat,
+		dir:       dir,
+		domains:   opts.Domains,
+		schema:    schema,
+		stats:     opts.Stats,
+		poolPages: opts.PoolPages,
+		fanout:    opts.Fanout,
 	}
 	results := make([]treeBuild, len(mapping.Trees))
 	buildOne := func(t int) error {
@@ -194,7 +185,7 @@ func Build(dir string, sources []*cube.ViewData, opts BuildOptions) (*Forest, er
 			return err
 		}
 		b, err := rtree.NewBuilder(pool, spec.Dim, rtree.Options{
-			Measures: schema.Len(), Fanout: opts.Fanout, PackFormat: opts.PackFormat})
+			Measures: schema.Len(), Fanout: opts.Fanout})
 		if err != nil {
 			return fail(err)
 		}
@@ -304,7 +295,7 @@ func runTreeBuilds(workers, n int, buildOne func(int) error) error {
 }
 
 func (f *Forest) writeCatalog() error {
-	cat := catalogJSON{PoolPages: f.poolPages, Fanout: f.fanout, PackFormat: f.packFormat,
+	cat := catalogJSON{PoolPages: f.poolPages, Fanout: f.fanout,
 		Schema: f.schema.Strings(), Domains: map[string]int64{}}
 	for a, d := range f.domains {
 		cat.Domains[string(a)] = d
@@ -357,13 +348,12 @@ func Open(dir string, stats *pager.Stats) (*Forest, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	f := &Forest{
-		dir:        dir,
-		domains:    map[lattice.Attr]int64{},
-		schema:     schema,
-		stats:      stats,
-		poolPages:  cat.PoolPages,
-		fanout:     cat.Fanout,
-		packFormat: cat.PackFormat,
+		dir:       dir,
+		domains:   map[lattice.Attr]int64{},
+		schema:    schema,
+		stats:     stats,
+		poolPages: cat.PoolPages,
+		fanout:    cat.Fanout,
 	}
 	for a, d := range cat.Domains {
 		f.domains[lattice.Attr(a)] = d
@@ -426,11 +416,6 @@ func (f *Forest) Tree(i int) *rtree.Tree { return f.trees[i] }
 
 // Stats returns the forest's I/O accounting sink.
 func (f *Forest) Stats() *pager.Stats { return f.stats }
-
-// PackFormat returns the leaf format the forest was built with. Zero on
-// forests whose catalog predates the format field; MergeUpdate treats that
-// as "use the default".
-func (f *Forest) PackFormat() int { return f.packFormat }
 
 // Domains returns the attribute domains known to the planner.
 func (f *Forest) Domains() map[lattice.Attr]int64 { return f.domains }

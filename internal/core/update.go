@@ -35,26 +35,17 @@ func (f *Forest) MergeUpdate(newDir string, deltas map[string]*cube.ViewData, op
 	if opts.Domains == nil {
 		opts.Domains = f.domains
 	}
-	if opts.PackFormat == 0 {
-		// Inherit the old forest's format; catalogs predating the format
-		// field fall through to the default, upgrading on refresh.
-		opts.PackFormat = f.packFormat
-	}
-	if opts.PackFormat == 0 {
-		opts.PackFormat = rtree.DefaultFormat
-	}
 	if err := os.MkdirAll(newDir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	nf := &Forest{
-		dir:        newDir,
-		domains:    opts.Domains,
-		schema:     f.schema,
-		stats:      opts.Stats,
-		poolPages:  opts.PoolPages,
-		fanout:     opts.Fanout,
-		packFormat: opts.PackFormat,
+		dir:       newDir,
+		domains:   opts.Domains,
+		schema:    f.schema,
+		stats:     opts.Stats,
+		poolPages: opts.PoolPages,
+		fanout:    opts.Fanout,
 	}
 	// Group placements by tree, preserving run order.
 	byTree := make(map[int][]Placement)
@@ -74,7 +65,7 @@ func (f *Forest) MergeUpdate(newDir string, deltas map[string]*cube.ViewData, op
 		}
 		pool := pager.NewPool(pf, opts.PoolPages)
 		b, err := rtree.NewBuilder(pool, old.Dim(), rtree.Options{
-			Measures: f.schema.Len(), Fanout: opts.Fanout, PackFormat: opts.PackFormat})
+			Measures: f.schema.Len(), Fanout: opts.Fanout})
 		if err != nil {
 			tsp.End()
 			pool.Close()

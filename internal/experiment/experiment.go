@@ -56,10 +56,6 @@ type Params struct {
 	// latency histograms, and the slow-query log flow into it, so a debug
 	// server attached to the observer exposes a live view of the run.
 	Obs *obs.Observer
-	// PackFormat selects the Cubetree leaf layout (rtree.FormatV1 or
-	// rtree.FormatV2; zero = library default). Benchmarks set it to compare
-	// the row-major and columnar formats on identical data.
-	PackFormat int
 	// MinMeasure is the minimum wall-clock window each throughput-sweep row
 	// is measured over: the query batch repeats until the window is filled
 	// and QPS is averaged across repetitions. At smoke scale one batch runs
@@ -265,10 +261,9 @@ func NewSetup(p Params) (*Setup, error) {
 	mark = s.cubeStats.Snapshot()
 	start = time.Now()
 	s.Forest, err = core.Build(filepath.Join(dir, "forest"), sources, core.BuildOptions{
-		PoolPages:  p.PoolPages,
-		Domains:    ds.Domains(),
-		Stats:      s.cubeStats,
-		PackFormat: p.PackFormat,
+		PoolPages: p.PoolPages,
+		Domains:   ds.Domains(),
+		Stats:     s.cubeStats,
 	})
 	if err != nil {
 		return nil, err

@@ -42,8 +42,6 @@ type ScalingParams struct {
 	// Dir is the working directory. Empty means a fresh temp directory per
 	// cluster size under os.TempDir.
 	Dir string
-	// PackFormat selects the Cubetree leaf layout (0 = library default).
-	PackFormat int
 }
 
 func (p ScalingParams) withDefaults() ScalingParams {
@@ -72,7 +70,6 @@ type Scaling struct {
 	GoMaxProcs int     `json:"gomaxprocs"`
 	Queries    int     `json:"queries"`
 	DeltaRows  int     `json:"delta_rows"`
-	PackFormat int     `json:"pack_format,omitempty"`
 	// SingleQPS is the no-network baseline on the modelled testbed: the
 	// same batch executed directly against the 1-shard warehouse (no
 	// coordinator, no wire protocol), its counted page I/O priced by
@@ -143,7 +140,6 @@ func RunScaling(p ScalingParams) (Scaling, error) {
 		SF:         p.SF,
 		PoolPages:  p.PoolPages,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		PackFormat: p.PackFormat,
 	}
 
 	ds := tpcd.New(tpcd.Params{SF: p.SF, Seed: p.Seed})
@@ -229,11 +225,10 @@ func RunScaling(p ScalingParams) (Scaling, error) {
 			}
 			stats[i] = &pager.Stats{}
 			whs[i], err = cubetree.Materialize(cubetree.Config{
-				Dir:        filepath.Join(dir, fmt.Sprintf("shard%d", i)),
-				Domains:    domains,
-				PoolPages:  p.PoolPages,
-				Stats:      stats[i],
-				PackFormat: p.PackFormat,
+				Dir:       filepath.Join(dir, fmt.Sprintf("shard%d", i)),
+				Domains:   domains,
+				PoolPages: p.PoolPages,
+				Stats:     stats[i],
 			}, views, src)
 			if err != nil {
 				cleanup()

@@ -23,10 +23,6 @@ type Throughput struct {
 	PoolPages  int     `json:"pool_pages"`
 	GoMaxProcs int     `json:"gomaxprocs"`
 	Queries    int     `json:"queries"`
-	// PackFormat is the Cubetree leaf layout the sweep ran against
-	// (rtree.FormatV1 or rtree.FormatV2; 0 in baselines recorded before the
-	// field existed, which implies v1).
-	PackFormat int `json:"pack_format,omitempty"`
 	// CubePointsPerLeafPage is the forest's packing density; the columnar
 	// format raises it, which is what turns into fewer leaf reads per query.
 	CubePointsPerLeafPage float64         `json:"cube_points_per_leaf_page,omitempty"`
@@ -67,7 +63,6 @@ func (s *Setup) RunThroughput(clients []int) (Throughput, error) {
 		SF:         s.Params.SF,
 		PoolPages:  s.Params.PoolPages,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		PackFormat: s.Forest.PackFormat(),
 	}
 	if lp := s.Forest.LeafPages(); lp > 0 {
 		out.CubePointsPerLeafPage = float64(s.Forest.Points()) / float64(lp)

@@ -28,7 +28,7 @@ func TestCompareScaling(t *testing.T) {
 	// QPS down 50% at 4 workers: regression on the qps metric only.
 	worse := CompareScaling(base, scalingFixture(1500, 12), TrendOptions{})
 	regs := worse.Regressions()
-	if len(regs) != 1 || regs[0].Metric != "qps" || regs[0].Workers != 4 {
+	if len(regs) != 1 || regs[0].Metric != "qps" || regs[0].Axis != 4 {
 		t.Fatalf("regressions = %+v, want one qps@4", regs)
 	}
 
@@ -46,14 +46,17 @@ func TestCompareScaling(t *testing.T) {
 	cur := base
 	cur.Rows = cur.Rows[:1]
 	partial := CompareScaling(base, cur, TrendOptions{})
-	if len(partial.MissingWorkers) != 1 || partial.MissingWorkers[0] != 4 {
-		t.Fatalf("missing workers = %v, want [4]", partial.MissingWorkers)
+	if len(partial.Missing) != 1 || partial.Missing[0] != 4 {
+		t.Fatalf("missing workers = %v, want [4]", partial.Missing)
+	}
+	if !strings.Contains(partial.String(), "workers [4]") {
+		t.Fatalf("rendering does not list the uncompared cluster size:\n%s", partial.String())
 	}
 }
 
-// TestBenchKindSniff checks cttrend's artifact detection, including a
-// baseline recorded before pack_format existed: older JSONs must load with
-// missing fields defaulting rather than erroring.
+// TestBenchKindSniff checks cttrend's artifact detection and that baselines
+// of other vintages load: one recorded before several fields existed (they
+// default) and one carrying the since-retired pack_format member (ignored).
 func TestBenchKindSniff(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -63,8 +66,8 @@ func TestBenchKindSniff(t *testing.T) {
 		}
 		return p
 	}
-	// A pre-pack_format throughput baseline (PR 5 era): no pack_format, no
-	// cube_points_per_leaf_page, no pool hit ratios.
+	// A PR 5 era throughput baseline: no cube_points_per_leaf_page, no pool
+	// hit ratios.
 	old := write("old.json", `{
 		"sf": 0.01, "pool_pages": 128, "gomaxprocs": 4, "queries": 700,
 		"rows": [{"clients": 1, "conv_qps": 100, "cube_qps": 400,
@@ -86,19 +89,27 @@ func TestBenchKindSniff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("old baseline failed to load: %v", err)
 	}
-	if tp.PackFormat != 0 || len(tp.Rows) != 1 || tp.Rows[0].CubeQPS != 400 {
+	if len(tp.Rows) != 1 || tp.Rows[0].CubeQPS != 400 {
 		t.Fatalf("old baseline mangled: %+v", tp)
 	}
-	// Comparing current (with pack_format) against the old baseline works
-	// and renders the zero format as v1.
-	cur := tp
-	cur.PackFormat = 2
-	rep := CompareThroughput(tp, cur, TrendOptions{})
-	if rep.Regressed() {
-		t.Fatalf("format-only change regressed: %v", rep.Regressions())
+	// A PR 6–17 era baseline still carries "pack_format": it loads, and
+	// compares clean against the old one on the rows they share.
+	withFormat := write("pf.json", `{
+		"sf": 0.01, "pool_pages": 128, "gomaxprocs": 4, "queries": 700,
+		"pack_format": 2, "cube_points_per_leaf_page": 416.5,
+		"rows": [{"clients": 1, "conv_qps": 100, "cube_qps": 400,
+			"conv_pool_hit_ratio": 0.5, "cube_pool_hit_ratio": 0.9}]
+	}`)
+	cur, err := LoadThroughput(withFormat)
+	if err != nil {
+		t.Fatalf("baseline with pack_format failed to load: %v", err)
 	}
-	if !strings.Contains(rep.String(), "v1 -> v2") {
-		t.Fatalf("rendering does not map 0 to v1:\n%s", rep.String())
+	rep := CompareThroughput(tp, cur, TrendOptions{})
+	if rep.Regressed() || len(rep.Deltas) != 2 {
+		t.Fatalf("same-QPS baselines: %+v", rep)
+	}
+	if s := rep.String(); !strings.Contains(s, "points/leaf page 0.0 -> 416.5") || strings.Contains(s, "format") {
+		t.Fatalf("rendering:\n%s", s)
 	}
 
 	s, err := LoadScaling(scaling)

@@ -42,7 +42,7 @@ func TestCompareThroughputFlagsRegression(t *testing.T) {
 		t.Fatal("15% drop not flagged at 10% threshold")
 	}
 	regs := rep.Regressions()
-	if len(regs) != 1 || regs[0].Clients != 2 || regs[0].Engine != "cube" {
+	if len(regs) != 1 || regs[0].Axis != 2 || regs[0].Metric != "cube" {
 		t.Fatalf("regressions = %+v", regs)
 	}
 	if regs[0].Delta > -0.14 || regs[0].Delta < -0.16 {
@@ -73,8 +73,8 @@ func TestCompareThroughputMissingClients(t *testing.T) {
 	if len(rep.Deltas) != 2 {
 		t.Fatalf("deltas = %d, want 2 (only clients=1 comparable)", len(rep.Deltas))
 	}
-	if len(rep.MissingClients) != 2 || rep.MissingClients[0] != 2 || rep.MissingClients[1] != 4 {
-		t.Fatalf("missing clients = %v, want [2 4]", rep.MissingClients)
+	if len(rep.Missing) != 2 || rep.Missing[0] != 2 || rep.Missing[1] != 4 {
+		t.Fatalf("missing clients = %v, want [2 4]", rep.Missing)
 	}
 }
 
@@ -84,6 +84,11 @@ func TestCompareThroughputZeroBaseline(t *testing.T) {
 	rep := CompareThroughput(base, cur, TrendOptions{})
 	if rep.Regressed() {
 		t.Fatalf("zero baseline flagged as regression: %+v", rep.Regressions())
+	}
+	// Nothing to compare against is a zero delta, so the report stays
+	// encodable (cttrend -json).
+	if _, err := json.Marshal(rep); err != nil {
+		t.Fatalf("zero-baseline report does not encode: %v", err)
 	}
 }
 

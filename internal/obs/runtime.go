@@ -159,7 +159,7 @@ func EnableRuntimeMetrics(r *Registry) {
 // constant-1 gauge whose labels carry the identity of the running binary.
 type BuildInfo struct {
 	GoVersion    string // runtime.Version()
-	PackFormat   string // default on-disk leaf format, e.g. "v2"
+	PackFormat   string // the written leaf format, rtree.PackFormat
 	WireProtocol string // dist wire protocol version, e.g. "1"
 }
 

@@ -62,21 +62,7 @@ func TestChecksumRoundTrip(t *testing.T) {
 
 func TestChecksumDetectsPayloadCorruption(t *testing.T) {
 	path := writePages(t, 4)
-	// Flip one byte in the middle of page 2's payload.
-	fh, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := int64(2)*PageSize + 4000
-	var b [1]byte
-	if _, err := fh.ReadAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0x01
-	if _, err := fh.WriteAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-	fh.Close()
+	flipBit(t, path, 2*PageSize+4000) // the middle of page 2's payload
 
 	stats := &Stats{}
 	f, err := Open(path, stats)
@@ -115,6 +101,52 @@ func TestChecksumDetectsTrailerCorruption(t *testing.T) {
 	buf := make([]byte, PageSize)
 	if err := f.ReadPage(1, buf); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("read error = %v, want ErrChecksum", err)
+	}
+}
+
+// flipBit flips the lowest bit of the byte at off in the file at path.
+func flipBit(t *testing.T, path string, off int64) {
+	t.Helper()
+	fh, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	var b [1]byte
+	if _, err := fh.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x01
+	if _, err := fh.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDamagedPage0MagicKeepsVerification: one flipped bit in page 0's
+// trailer magic must not reclassify the file as legacy and so switch off
+// every other page's checksum. The last page still carries the magic, so
+// the file opens as checksummed and both damaged pages fail typed.
+func TestDamagedPage0MagicKeepsVerification(t *testing.T) {
+	path := writePages(t, 3)
+	flipBit(t, path, PayloadSize+4)   // page 0: trailer magic
+	flipBit(t, path, 1*PageSize+4000) // page 1: payload
+	f, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if !f.Checksummed() || f.PayloadSize() != PayloadSize {
+		t.Fatalf("Checksummed = %v, PayloadSize = %d: one damaged trailer turned verification off",
+			f.Checksummed(), f.PayloadSize())
+	}
+	buf := make([]byte, PageSize)
+	for _, id := range []PageID{0, 1} {
+		if err := f.ReadPage(id, buf); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("damaged page %d read error = %v, want ErrChecksum", id, err)
+		}
+	}
+	if err := f.ReadPage(2, buf); err != nil {
+		t.Fatalf("intact page rejected: %v", err)
 	}
 }
 

@@ -13,8 +13,14 @@
 // bytes of every page for a CRC32-C checksum stamped on write and verified
 // on read, so a torn write or flipped bit surfaces as ErrChecksum instead of
 // being served as wrong data. Files written before the trailer existed are
-// detected on Open (their page 0 lacks the trailer magic) and are read
-// without verification; see File.PayloadSize.
+// detected on Open (neither their page 0 nor their last page carries the
+// trailer magic) and are read without verification; see File.PayloadSize.
+// Two probes, because one damaged trailer must not switch verification off
+// for the whole file: when they disagree the file opens as checksummed and
+// the damaged page fails with ErrChecksum. The price is that a legacy file
+// whose bytes at a probe offset happen to spell the magic (2⁻³² per probe)
+// opens as checksummed and its reads fail with that typed error — never a
+// wrong row.
 package pager
 
 import (
@@ -95,9 +101,10 @@ func Create(path string, stats *Stats) (*File, error) {
 }
 
 // Open opens an existing page file at path. The file size must be a multiple
-// of PageSize. The format is detected from page 0's trailer: files written by
-// a pre-checksum version of this package lack the trailer magic and are
-// served without verification (and with the full PageSize as payload).
+// of PageSize. The format is detected from the trailers of page 0 and of the
+// last page: files written by a pre-checksum version of this package carry
+// the trailer magic on neither and are served without verification (and with
+// the full PageSize as payload).
 func Open(path string, stats *Stats) (*File, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -112,16 +119,28 @@ func Open(path string, stats *Stats) (*File, error) {
 		f.Close()
 		return nil, fmt.Errorf("pager: %s size %d is not a multiple of page size", path, info.Size())
 	}
+	pages := info.Size() / PageSize
 	checksummed := true
-	if info.Size() >= PageSize {
-		var trailer [TrailerSize]byte
-		if _, err := f.ReadAt(trailer[:], PayloadSize); err != nil {
+	if pages > 0 {
+		checksummed, err = hasTrailerMagic(f, 0)
+		if err == nil && !checksummed && pages > 1 {
+			checksummed, err = hasTrailerMagic(f, pages-1)
+		}
+		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("pager: probe %s: %w", path, err)
 		}
-		checksummed = binary.LittleEndian.Uint32(trailer[4:]) == trailerMagic
 	}
-	return newFile(f, path, uint32(info.Size()/PageSize), stats, checksummed), nil
+	return newFile(f, path, uint32(pages), stats, checksummed), nil
+}
+
+// hasTrailerMagic reports whether the given page of f ends in the trailer magic.
+func hasTrailerMagic(f *os.File, page int64) (bool, error) {
+	var magic [4]byte
+	if _, err := f.ReadAt(magic[:], page*PageSize+PayloadSize+4); err != nil {
+		return false, err
+	}
+	return binary.LittleEndian.Uint32(magic[:]) == trailerMagic, nil
 }
 
 func newFile(f *os.File, path string, pages uint32, stats *Stats, checksummed bool) *File {

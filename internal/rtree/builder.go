@@ -15,9 +15,6 @@ type Options struct {
 	// Fanout, if non-zero, caps node capacity. Tests use 3 to reproduce the
 	// paper's Figure 8.
 	Fanout int
-	// PackFormat selects the leaf layout: FormatV1 (row-major fixed width)
-	// or FormatV2 (column-major compressed). Zero means DefaultFormat.
-	PackFormat int
 }
 
 // Builder bulk-loads a packed R-tree. Points are supplied one sorted run per
@@ -30,14 +27,12 @@ type Options struct {
 // at every run boundary so that each leaf belongs to exactly one view,
 // enabling zero-coordinate compression.
 type Builder struct {
-	pool   *pager.Pool
-	t      *Tree
-	format int
+	pool *pager.Pool
+	t    *Tree
 
 	inRun    bool
 	arity    int
 	leafCap  int
-	cur      *pager.Frame
 	curN     int
 	runFirst pager.PageID
 	runLast  pager.PageID
@@ -45,8 +40,8 @@ type Builder struct {
 	prev     []int64
 	havePrev bool
 
-	// v2 leaves are buffered column-wise and written only when sealed,
-	// because the packed column widths are not known until then.
+	// Leaves are buffered column-wise and written only when sealed, because
+	// the packed column widths are not known until then.
 	cols    []enc.ColumnBuilder
 	measBuf [][]int64
 
@@ -69,13 +64,6 @@ func NewBuilder(pool *pager.Pool, dim int, opts Options) (*Builder, error) {
 	if measures <= 0 {
 		measures = 2
 	}
-	format := opts.PackFormat
-	if format == 0 {
-		format = DefaultFormat
-	}
-	if format != FormatV1 && format != FormatV2 {
-		return nil, fmt.Errorf("rtree: unknown pack format %d", opts.PackFormat)
-	}
 	meta, err := pool.NewPage()
 	if err != nil {
 		return nil, err
@@ -93,11 +81,8 @@ func NewBuilder(pool *pager.Pool, dim int, opts Options) (*Builder, error) {
 		leafHi:   0, // empty until first leaf
 		fanout:   opts.Fanout,
 	}
-	return &Builder{pool: pool, t: t, format: format}, nil
+	return &Builder{pool: pool, t: t}, nil
 }
-
-// Format reports the leaf format the builder emits.
-func (b *Builder) Format() int { return b.format }
 
 // BeginRun starts a new view run whose points carry arity coordinates
 // (1 <= arity <= dim). Arity 0 is allowed for the scalar "none" view, whose
@@ -111,23 +96,19 @@ func (b *Builder) BeginRun(arity int) error {
 	}
 	b.inRun = true
 	b.arity = arity
-	if b.format == FormatV2 {
-		// v2 leaves are sealed by encoded size, not a fixed entry count; the
-		// cap only reflects the count field's range and any test fanout.
-		b.leafCap = 1<<16 - 1
-		if b.t.fanout > 1 {
-			b.leafCap = b.t.fanout
-		}
-		for len(b.cols) < arity {
-			b.cols = append(b.cols, enc.ColumnBuilder{})
-		}
-		for j := 0; j < arity; j++ {
-			b.cols[j].Reset()
-		}
-		b.curN = 0
-	} else {
-		b.leafCap = b.t.leafCap(arity)
+	// Leaves are sealed by encoded size, not a fixed entry count; the cap
+	// only reflects the count field's range and any test fanout.
+	b.leafCap = 1<<16 - 1
+	if b.t.fanout > 1 {
+		b.leafCap = b.t.fanout
 	}
+	for len(b.cols) < arity {
+		b.cols = append(b.cols, enc.ColumnBuilder{})
+	}
+	for j := 0; j < arity; j++ {
+		b.cols[j].Reset()
+	}
+	b.curN = 0
 	b.runFirst = pager.InvalidPage
 	b.runLast = pager.InvalidPage
 	b.runPts = 0
@@ -157,42 +138,9 @@ func (b *Builder) Add(coords []int64, measures []int64) error {
 	copy(b.prev, full)
 	b.havePrev = true
 
-	if b.format == FormatV2 {
-		if err := b.addV2(coords, measures); err != nil {
-			return err
-		}
-		b.runPts++
-		b.t.count++
-		return nil
+	if err := b.addV2(coords, measures); err != nil {
+		return err
 	}
-
-	if b.cur == nil || b.curN >= b.leafCap {
-		if err := b.finishLeaf(); err != nil {
-			return err
-		}
-		fr, err := b.pool.NewPage()
-		if err != nil {
-			return err
-		}
-		initNode(fr.Data(), kindLeaf, byte(b.arity))
-		b.cur = fr
-		b.curN = 0
-		if b.runFirst == pager.InvalidPage {
-			b.runFirst = fr.ID()
-		}
-		b.runLast = fr.ID()
-	}
-	es := b.t.leafEntrySize(b.arity)
-	off := nodeHeaderSize + b.curN*es
-	data := b.cur.Data()
-	for j := 0; j < b.arity; j++ {
-		putField(data[off:], j, coords[j])
-	}
-	for j := 0; j < b.t.measures; j++ {
-		putField(data[off:], b.arity+j, measures[j])
-	}
-	b.curN++
-	setNodeCount(data, b.curN)
 	b.runPts++
 	b.t.count++
 	return nil
@@ -272,46 +220,12 @@ func (b *Builder) flushLeafV2() error {
 	return nil
 }
 
-// finishLeaf seals the current leaf, recording its MBR.
-func (b *Builder) finishLeaf() error {
-	if b.cur == nil {
-		return nil
-	}
-	data := b.cur.Data()
-	n := nodeCount(data)
-	lo := make([]int64, b.t.dim)
-	hi := make([]int64, b.t.dim)
-	coords := make([]int64, b.t.dim)
-	meas := make([]int64, b.t.measures)
-	for i := 0; i < n; i++ {
-		b.t.leafPoint(data, i, coords, meas)
-		for j := 0; j < b.t.dim; j++ {
-			if i == 0 || coords[j] < lo[j] {
-				lo[j] = coords[j]
-			}
-			if i == 0 || coords[j] > hi[j] {
-				hi[j] = coords[j]
-			}
-		}
-	}
-	b.leaves = append(b.leaves, childEntry{lo: lo, hi: hi, page: b.cur.ID()})
-	b.t.leafHi = b.cur.ID()
-	b.pool.Unpin(b.cur, true)
-	b.cur = nil
-	b.curN = 0
-	return nil
-}
-
 // EndRun closes the current run and returns its placement.
 func (b *Builder) EndRun() (RunInfo, error) {
 	if !b.inRun {
 		return RunInfo{}, fmt.Errorf("rtree: EndRun without BeginRun")
 	}
-	if b.format == FormatV2 {
-		if err := b.flushLeafV2(); err != nil {
-			return RunInfo{}, err
-		}
-	} else if err := b.finishLeaf(); err != nil {
+	if err := b.flushLeafV2(); err != nil {
 		return RunInfo{}, err
 	}
 	b.inRun = false
@@ -329,9 +243,6 @@ func (b *Builder) Finish() (*Tree, error) {
 	if b.inRun {
 		return nil, fmt.Errorf("rtree: Finish with an open run")
 	}
-	if err := b.finishLeaf(); err != nil {
-		return nil, err
-	}
 	t := b.t
 	if len(b.leaves) == 0 {
 		// Empty tree: keep a single empty leaf so searches have a root.
@@ -339,11 +250,7 @@ func (b *Builder) Finish() (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		kind := byte(kindLeaf)
-		if b.format == FormatV2 {
-			kind = kindLeafV2
-		}
-		initNode(fr.Data(), kind, 0)
+		initNode(fr.Data(), kindLeafV2, 0)
 		t.root = fr.ID()
 		t.height = 1
 		t.leafLo, t.leafHi = fr.ID(), fr.ID()
@@ -394,16 +301,4 @@ func (b *Builder) Finish() (*Tree, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// putField is a local alias to keep builder hot paths tight.
-func putField(b []byte, i int, v int64) {
-	b[i*8] = byte(v)
-	b[i*8+1] = byte(v >> 8)
-	b[i*8+2] = byte(v >> 16)
-	b[i*8+3] = byte(v >> 24)
-	b[i*8+4] = byte(v >> 32)
-	b[i*8+5] = byte(v >> 40)
-	b[i*8+6] = byte(v >> 48)
-	b[i*8+7] = byte(v >> 56)
 }

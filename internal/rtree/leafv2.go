@@ -10,11 +10,12 @@ import (
 	"cubetree/internal/pager"
 )
 
-// Leaf format v2: column-major compressed leaf pages.
+// Leaf format v2, the one layout Builder writes: column-major compressed
+// leaf pages (byte-level tables in docs/FORMAT.md).
 //
-// A v1 leaf stores row-major fixed-width tuples, so a slice scan decodes
-// every 8-byte field of every point even when one coordinate column decides
-// the predicate. A v2 leaf reorganizes the same points column-major:
+// A row-major leaf of fixed-width tuples (v1, leafv1.go) makes a slice scan
+// decode every 8-byte field of every point even when one coordinate column
+// decides the predicate. A v2 leaf holds the same points column-major:
 //
 //	node header (8 bytes)   kind=kindLeafV2, aux=arity, count u16
 //	column directory        arity × 17 bytes: min i64, max i64, bit width u8
@@ -29,9 +30,9 @@ import (
 // not filtered, and decoding them is deferred until a row survives every
 // coordinate predicate (late materialization).
 //
-// Versioning: leaves self-describe through the node kind byte, so v1 and v2
-// leaves can coexist in one file and v1 files remain fully readable. The
-// internal-node format and the meta page are unchanged.
+// Versioning: leaves self-describe through the node kind byte, so files of
+// v1 leaves remain fully readable; the internal-node format and the meta
+// page are the same for both.
 
 const (
 	kindLeafV2 = 2
@@ -40,15 +41,9 @@ const (
 	colDescSize = 8 + 8 + 1
 )
 
-// Pack formats selectable at build time.
-const (
-	// FormatV1 is the row-major fixed-width leaf layout.
-	FormatV1 = 1
-	// FormatV2 is the column-major compressed leaf layout.
-	FormatV2 = 2
-	// DefaultFormat is used when Options.PackFormat is zero.
-	DefaultFormat = FormatV2
-)
+// PackFormat names the one leaf layout Builder writes; it labels the
+// build_info gauge and has no other reader.
+const PackFormat = "v2"
 
 // colDesc is one decoded column directory entry.
 type colDesc struct {
@@ -298,7 +293,7 @@ func (t *Tree) searchLeafV2(b []byte, lo, hi []int64, s *scanScratch, fn VisitLe
 type leafDecoder struct {
 	t     *Tree
 	b     []byte
-	kind  byte
+	v1    bool // a read-only row-major leaf: point goes through leafPoint
 	arity int
 	n     int
 	lay   v2Layout
@@ -309,11 +304,12 @@ type leafDecoder struct {
 func (t *Tree) readLeaf(b []byte, d *leafDecoder) error {
 	d.t = t
 	d.b = b
-	d.kind = nodeKind(b)
+	d.v1 = false
 	d.arity = int(nodeAux(b))
 	d.n = nodeCount(b)
-	switch d.kind {
+	switch nodeKind(b) {
 	case kindLeaf:
+		d.v1 = true
 		return nil
 	case kindLeafV2:
 		if err := parseV2Leaf(b, t.measures, t.payload(), &d.lay); err != nil {
@@ -331,7 +327,7 @@ func (t *Tree) readLeaf(b []byte, d *leafDecoder) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("rtree: unknown leaf format (node kind %d)", d.kind)
+		return fmt.Errorf("rtree: unknown leaf format (node kind %d)", nodeKind(b))
 	}
 }
 
@@ -340,7 +336,7 @@ func (d *leafDecoder) count() int { return d.n }
 
 // point decodes entry i into coords (len dim, zero padded) and measures.
 func (d *leafDecoder) point(i int, coords, measures []int64) {
-	if d.kind == kindLeaf {
+	if d.v1 {
 		d.t.leafPoint(d.b, i, coords, measures)
 		return
 	}
@@ -365,15 +361,6 @@ type LeafFormatInfo struct {
 	Points int64 `json:"points"`
 }
 
-// Format reports the dominant leaf format of the info: FormatV2 when any v2
-// leaf exists, FormatV1 otherwise.
-func (i LeafFormatInfo) Format() int {
-	if i.V2Leaves > 0 {
-		return FormatV2
-	}
-	return FormatV1
-}
-
 // ScrubLeaves walks every leaf page, verifying the format-level invariants
 // the structural Validate does not see: node kinds are known, v2 directory
 // and column regions stay inside the payload, bit widths are in bounds, and
@@ -395,11 +382,10 @@ func (t *Tree) ScrubLeaves() (LeafFormatInfo, error) {
 		switch nodeKind(b) {
 		case kindLeaf:
 			info.V1Leaves++
-			arity := int(nodeAux(b))
-			n := nodeCount(b)
-			if need := nodeHeaderSize + n*t.leafEntrySize(arity); need > t.payload() {
+			n, err := t.scrubLeafV1(b)
+			if err != nil {
 				t.pool.Unpin(fr, false)
-				return info, fmt.Errorf("rtree: leaf %d: %d v1 entries exceed payload", pid, n)
+				return info, fmt.Errorf("rtree: leaf %d: %w", pid, err)
 			}
 			info.Points += int64(n)
 		case kindLeafV2:
@@ -442,25 +428,4 @@ func (t *Tree) ScrubLeaves() (LeafFormatInfo, error) {
 		t.pool.Unpin(fr, false)
 	}
 	return info, nil
-}
-
-// RunFormat reports the leaf format of one run (FormatV1 for empty runs,
-// whose canonical range holds no pages).
-func (t *Tree) RunFormat(run RunInfo) (int, error) {
-	if run.FirstLeaf > run.LastLeaf {
-		return FormatV1, nil
-	}
-	fr, err := t.pool.Fetch(run.FirstLeaf)
-	if err != nil {
-		return 0, err
-	}
-	defer t.pool.Unpin(fr, false)
-	switch nodeKind(fr.Data()) {
-	case kindLeaf:
-		return FormatV1, nil
-	case kindLeafV2:
-		return FormatV2, nil
-	default:
-		return 0, fmt.Errorf("rtree: unknown leaf format (node kind %d)", nodeKind(fr.Data()))
-	}
 }

@@ -3,6 +3,7 @@ package rtree
 import (
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,13 +11,10 @@ import (
 )
 
 // buildFormatTree packs the same two-run point set (an arity-1 run and an
-// arity-2 run) in the requested leaf format.
-func buildFormatTree(t *testing.T, pool *pager.Pool, format int, v1pts, v2pts [][]int64) *Tree {
+// arity-2 run) through the Builder, or through the v1 reference writer.
+func buildFormatTree(t *testing.T, pool *pager.Pool, v1 bool, v1pts, v2pts [][]int64) *Tree {
 	t.Helper()
-	b, err := NewBuilder(pool, 2, Options{Measures: 2, PackFormat: format})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newPacker(t, pool, 2, Options{Measures: 2}, v1)
 	if err := b.BeginRun(1); err != nil {
 		t.Fatal(err)
 	}
@@ -50,21 +48,6 @@ func buildFormatTree(t *testing.T, pool *pager.Pool, format int, v1pts, v2pts []
 // and a v2 tree built from identical input return identical result sets —
 // coordinates and measures — in the style of TestPackedSearchEquivalenceQuick.
 func TestV1V2SearchEquivalence(t *testing.T) {
-	type result struct {
-		coords [2]int64
-		meas   [2]int64
-	}
-	collect := func(tree *Tree, lo, hi []int64) ([]result, error) {
-		var out []result
-		err := tree.Search(lo, hi, func(coords, measures []int64) error {
-			out = append(out, result{
-				coords: [2]int64{coords[0], coords[1]},
-				meas:   [2]int64{measures[0], measures[1]},
-			})
-			return nil
-		})
-		return out, err
-	}
 	f := func(raw []uint16, rect [4]uint8) bool {
 		seen1 := map[int64]bool{}
 		seen2 := map[[2]int64]bool{}
@@ -82,13 +65,14 @@ func TestV1V2SearchEquivalence(t *testing.T) {
 		}
 		sortPack(v1pts)
 		sortPack(v2pts)
-		t1 := buildFormatTree(t, newPool(t, 64), FormatV1, v1pts, v2pts)
-		t2 := buildFormatTree(t, newPool(t, 64), FormatV2, v1pts, v2pts)
-		if f1, _ := t1.Format(); f1 != FormatV1 {
-			return false
-		}
-		if f2, _ := t2.Format(); f2 != FormatV2 {
-			return false
+		t1 := buildFormatTree(t, newPool(t, 64), true, v1pts, v2pts)
+		t2 := buildFormatTree(t, newPool(t, 64), false, v1pts, v2pts)
+		if len(raw) > 0 {
+			i1, err1 := t1.ScrubLeaves()
+			i2, err2 := t2.ScrubLeaves()
+			if err1 != nil || err2 != nil || i1.V1Leaves == 0 || i1.V2Leaves != 0 || i2.V1Leaves != 0 || i2.V2Leaves == 0 {
+				return false
+			}
 		}
 		// Rectangles on the arity-2 plane and on the arity-1 axis (y pinned
 		// to 0 so the v8-style run is included).
@@ -99,18 +83,8 @@ func TestV1V2SearchEquivalence(t *testing.T) {
 			{{0, 0}, {60, 60}},
 		}
 		for _, rc := range rects {
-			r1, err1 := collect(t1, rc[0], rc[1])
-			r2, err2 := collect(t2, rc[0], rc[1])
-			if err1 != nil || err2 != nil {
+			if !slices.EqualFunc(searchAll(t, t1, rc[0], rc[1]), searchAll(t, t2, rc[0], rc[1]), slices.Equal[[]int64]) {
 				return false
-			}
-			if len(r1) != len(r2) {
-				return false
-			}
-			for i := range r1 {
-				if r1[i] != r2[i] {
-					return false
-				}
 			}
 		}
 		return true
@@ -120,14 +94,14 @@ func TestV1V2SearchEquivalence(t *testing.T) {
 	}
 }
 
-// TestV2Persistence: a v2 tree survives close and reopen — the format is
-// re-derived from the leaf pages, Validate passes, and searches answer.
+// TestV2Persistence: a v2 tree survives close and reopen — Validate passes,
+// searches answer, and the scrub census finds v2 leaves only.
 func TestV2Persistence(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "v2.rt")
 	f, _ := pager.Create(path, nil)
 	pool := pager.NewPool(f, 64)
-	b, _ := NewBuilder(pool, 2, Options{PackFormat: FormatV2})
+	b, _ := NewBuilder(pool, 2, Options{})
 	b.BeginRun(2)
 	for i := int64(1); i <= 500; i++ {
 		b.Add([]int64{i, 1}, []int64{i * 10, 1})
@@ -145,9 +119,6 @@ func TestV2Persistence(t *testing.T) {
 	tree2, err := Open(pool2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if format, err := tree2.Format(); err != nil || format != FormatV2 {
-		t.Fatalf("Format = %d, %v; want FormatV2", format, err)
 	}
 	if err := tree2.Validate(); err != nil {
 		t.Fatal(err)
@@ -172,20 +143,15 @@ func TestV2Persistence(t *testing.T) {
 	}
 }
 
-// TestV1BackwardCompat: a file built with the v1 format (as every pre-v2
-// release wrote) reopens and scans correctly while the default is v2.
+// TestV1BackwardCompat: a file of v1 leaves (as every pre-v2 release wrote,
+// here from the reference writer) reopens, validates, scrubs and scans
+// correctly although nothing writes that layout any more.
 func TestV1BackwardCompat(t *testing.T) {
-	if DefaultFormat != FormatV2 {
-		t.Fatalf("DefaultFormat = %d; test assumes v2 default", DefaultFormat)
-	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "v1.rt")
 	f, _ := pager.Create(path, nil)
 	pool := pager.NewPool(f, 64)
-	b, _ := NewBuilder(pool, 3, Options{PackFormat: FormatV1})
-	if b.Format() != FormatV1 {
-		t.Fatalf("builder format %d", b.Format())
-	}
+	b := newPacker(t, pool, 3, Options{}, true)
 	b.BeginRun(3)
 	pts := make([][]int64, 0, 1000)
 	r := rand.New(rand.NewSource(11))
@@ -215,9 +181,6 @@ func TestV1BackwardCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if format, err := tree2.Format(); err != nil || format != FormatV1 {
-		t.Fatalf("Format = %d, %v; want FormatV1", format, err)
-	}
 	if err := tree2.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,65 +204,11 @@ func TestV1BackwardCompat(t *testing.T) {
 	}
 }
 
-// TestMergeAcrossFormats: merge-packing a v1 tree with deltas into a v2
-// builder (the upgrade path a refresh takes on an old forest) preserves
-// every point and combines measures.
-func TestMergeAcrossFormats(t *testing.T) {
-	oldPool := newPool(t, 64)
-	ob, _ := NewBuilder(oldPool, 2, Options{PackFormat: FormatV1})
-	ob.BeginRun(2)
-	for i := int64(1); i <= 100; i++ {
-		ob.Add([]int64{i, 1}, []int64{i, 1})
-	}
-	ob.EndRun()
-	oldTree, err := ob.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	newPoolV2 := newPool(t, 64)
-	nb, _ := NewBuilder(newPoolV2, 2, Options{PackFormat: FormatV2})
-	delta := &SlicePoints{
-		Coords:   [][]int64{{50, 1}, {101, 1}},
-		Measures: [][]int64{{5, 1}, {7, 1}},
-	}
-	if err := nb.BeginRun(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := MergeRun(nb, 2, oldTree.RunIterator(oldTree.Runs()[0]), delta, AddMeasures); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nb.EndRun(); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := nb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if format, _ := merged.Format(); format != FormatV2 {
-		t.Fatalf("merged format %d, want v2", format)
-	}
-	if err := merged.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if merged.Count() != 101 {
-		t.Fatalf("merged count %d, want 101", merged.Count())
-	}
-	var m50 []int64
-	merged.Search([]int64{50, 1}, []int64{50, 1}, func(_, m []int64) error {
-		m50 = append([]int64(nil), m...)
-		return nil
-	})
-	if m50[0] != 55 || m50[1] != 2 {
-		t.Fatalf("merged measures at 50 = %v, want [55 2]", m50)
-	}
-}
-
 // TestScrubLeavesDetectsCorruption: ScrubLeaves fails on a v2 zone map that
 // disagrees with the decoded column, and on an unknown node kind.
 func TestScrubLeavesDetectsCorruption(t *testing.T) {
 	pool := newPool(t, 64)
-	b, _ := NewBuilder(pool, 1, Options{PackFormat: FormatV2})
+	b, _ := NewBuilder(pool, 1, Options{})
 	b.BeginRun(1)
 	for i := int64(1); i <= 300; i++ {
 		b.Add([]int64{i}, []int64{i, 1})
@@ -347,11 +256,11 @@ func TestScrubLeavesDetectsCorruption(t *testing.T) {
 
 // TestV2PacksDenser: on small-domain data, the columnar format stores
 // several times more points per leaf than the fixed-width v1 layout — the
-// core space claim behind the tentpole.
+// space claim that retired the v1 writer.
 func TestV2PacksDenser(t *testing.T) {
-	build := func(format int) *Tree {
+	build := func(v1 bool) *Tree {
 		pool := newPool(t, 256)
-		b, _ := NewBuilder(pool, 3, Options{PackFormat: format})
+		b := newPacker(t, pool, 3, Options{}, v1)
 		b.BeginRun(3)
 		r := rand.New(rand.NewSource(3))
 		pts := make([][]int64, 0, 20000)
@@ -374,8 +283,8 @@ func TestV2PacksDenser(t *testing.T) {
 		}
 		return tree
 	}
-	t1 := build(FormatV1)
-	t2 := build(FormatV2)
+	t1 := build(true)
+	t2 := build(false)
 	if t2.LeafPages() >= t1.LeafPages() {
 		t.Fatalf("v2 uses %d leaf pages, v1 %d: columnar packing saved nothing",
 			t2.LeafPages(), t1.LeafPages())

@@ -97,28 +97,6 @@ func (t *Tree) LeafPages() uint32 {
 // Bytes returns the on-disk size of the tree.
 func (t *Tree) Bytes() int64 { return t.pool.File().Size() }
 
-// Format reports the tree's leaf format (FormatV1 or FormatV2). The format
-// is not stored on the meta page — the layout predates v2 and has no spare
-// field — so it is derived from the first leaf's self-describing kind byte.
-func (t *Tree) Format() (int, error) {
-	if t.leafHi < t.leafLo {
-		return FormatV1, nil
-	}
-	fr, err := t.pool.Fetch(t.leafLo)
-	if err != nil {
-		return 0, err
-	}
-	defer t.pool.Unpin(fr, false)
-	switch nodeKind(fr.Data()) {
-	case kindLeaf:
-		return FormatV1, nil
-	case kindLeafV2:
-		return FormatV2, nil
-	default:
-		return 0, fmt.Errorf("rtree: unknown leaf format (node kind %d)", nodeKind(fr.Data()))
-	}
-}
-
 // Pool exposes the tree's buffer pool (used by the forest for flushing).
 func (t *Tree) Pool() *pager.Pool { return t.pool }
 
@@ -213,22 +191,10 @@ func nodeAux(b []byte) byte        { return b[1] } // arity for leaves, level fo
 func nodeCount(b []byte) int       { return int(binary.LittleEndian.Uint16(b[2:])) }
 func setNodeCount(b []byte, n int) { binary.LittleEndian.PutUint16(b[2:], uint16(n)) }
 
-// leafEntrySize is the bytes per point on a leaf of the given arity.
-func (t *Tree) leafEntrySize(arity int) int { return enc.TupleSize(arity + t.measures) }
-
 // payload is the usable bytes per page: the checksum trailer (absent on
 // legacy files) is reserved by the pager. Reads never depend on capacity —
 // nodes carry their own entry counts — so both formats stay readable.
 func (t *Tree) payload() int { return t.pool.File().PayloadSize() }
-
-// leafCap returns the point capacity of a leaf of the given arity.
-func (t *Tree) leafCap(arity int) int {
-	c := (t.payload() - nodeHeaderSize) / t.leafEntrySize(arity)
-	if t.fanout > 1 && c > t.fanout {
-		c = t.fanout
-	}
-	return c
-}
 
 // innerEntrySize is the bytes per child entry of an internal node: an MBR of
 // dim (lo,hi) pairs plus a child page id.
@@ -241,23 +207,6 @@ func (t *Tree) innerCap() int {
 		c = t.fanout
 	}
 	return c
-}
-
-// leafPoint decodes entry i of leaf b into coords (len dim, zero padded) and
-// measures (len measures). Both must be caller-provided slices.
-func (t *Tree) leafPoint(b []byte, i int, coords, measures []int64) {
-	arity := int(nodeAux(b))
-	es := t.leafEntrySize(arity)
-	off := nodeHeaderSize + i*es
-	for j := 0; j < arity; j++ {
-		coords[j] = enc.Field(b[off:], j)
-	}
-	for j := arity; j < t.dim; j++ {
-		coords[j] = 0
-	}
-	for j := 0; j < t.measures; j++ {
-		measures[j] = enc.Field(b[off:], arity+j)
-	}
 }
 
 // innerEntry decodes entry i of internal node b.
@@ -423,37 +372,6 @@ func (t *Tree) search(pid pager.PageID, level int, lo, hi []int64, scratch *scan
 	return err
 }
 
-// searchLeafV1 scans one row-major leaf into the scratch batch. v1 leaves
-// carry no zone maps: every visited leaf is a read.
-func (t *Tree) searchLeafV1(b []byte, lo, hi []int64, s *scanScratch, fn VisitLeaf) error {
-	if s.stats != nil {
-		s.stats.LeafPagesRead++
-	}
-	n := nodeCount(b)
-	s.grow(t.dim, n)
-	clear(s.sel)
-	coords, measures := s.entry[:t.dim], s.entry[t.dim:t.dim+t.measures]
-	for i := 0; i < n; i++ {
-		t.leafPoint(b, i, coords, measures)
-		if !pointInRect(coords, lo, hi) {
-			continue
-		}
-		s.sel[i/64] |= 1 << (i % 64)
-		for j, v := range coords {
-			s.cols[j][i] = v
-		}
-		for m, v := range measures {
-			s.meas[m][i] = v
-		}
-	}
-	if enc.SelectionEmpty(s.sel) {
-		return nil
-	}
-	s.batch.Coords = append(s.batch.Coords[:0], s.cols[:t.dim]...)
-	s.batch.Measures, s.batch.Sel = s.meas, s.sel
-	return fn(&s.batch)
-}
-
 func pointInRect(p, lo, hi []int64) bool {
 	for j := range p {
 		if p[j] < lo[j] || p[j] > hi[j] {
@@ -490,9 +408,6 @@ func (t *Tree) Validate() error {
 		b := fr.Data()
 		n := nodeCount(b)
 		if level == 1 {
-			if nodeKind(b) != kindLeaf && nodeKind(b) != kindLeafV2 {
-				return fmt.Errorf("rtree: node %d at leaf level is internal", pid)
-			}
 			if pid < t.leafLo || pid > t.leafHi {
 				return fmt.Errorf("rtree: leaf %d outside leaf range [%d,%d]", pid, t.leafLo, t.leafHi)
 			}

@@ -25,11 +25,11 @@ func sortPackB(points [][]int64) {
 }
 
 // BenchmarkSearchFormats compares point- and range-query latency over the
-// same data in both leaf formats.
+// same data in v2 leaves and in read-only v1 leaves (reference writer).
 func BenchmarkSearchFormats(b *testing.B) {
-	build := func(format int) *Tree {
+	build := func(v1 bool) *Tree {
 		f := newPoolB(b, 512)
-		bd, _ := NewBuilder(f, 3, Options{PackFormat: format})
+		bd := newPacker(b, f, 3, Options{}, v1)
 		bd.BeginRun(3)
 		r := rand.New(rand.NewSource(3))
 		pts := make([][]int64, 0, 50000)
@@ -52,19 +52,16 @@ func BenchmarkSearchFormats(b *testing.B) {
 		}
 		return tree
 	}
-	for _, fmtCase := range []struct {
-		name   string
-		format int
-	}{{"v1", FormatV1}, {"v2", FormatV2}} {
-		tree := build(fmtCase.format)
-		b.Run("point/"+fmtCase.name, func(b *testing.B) {
+	for _, v1 := range []bool{true, false} {
+		tree := build(v1)
+		b.Run("point/"+formatName(v1), func(b *testing.B) {
 			r := rand.New(rand.NewSource(9))
 			for i := 0; i < b.N; i++ {
 				x := r.Int63n(200) + 1
 				tree.Search([]int64{x, x, 0}, []int64{x, x, 200}, func([]int64, []int64) error { return nil })
 			}
 		})
-		b.Run("range/"+fmtCase.name, func(b *testing.B) {
+		b.Run("range/"+formatName(v1), func(b *testing.B) {
 			r := rand.New(rand.NewSource(9))
 			for i := 0; i < b.N; i++ {
 				x := r.Int63n(150) + 1

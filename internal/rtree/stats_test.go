@@ -7,15 +7,12 @@ import (
 )
 
 // buildStatsTree packs one arity-1 run (x in [1,xmax], y implicitly 0) and
-// one arity-2 run (the full [1,xmax]×[1,ymax] grid) in the given format —
-// the same shared-index-space shape a forest tree has, big enough to span
-// multiple leaf pages.
-func buildStatsTree(t *testing.T, format, xmax, ymax int) *Tree {
+// one arity-2 run (the full [1,xmax]×[1,ymax] grid), as v2 leaves or through
+// the v1 reference writer — the same shared-index-space shape a forest tree
+// has, big enough to span multiple leaf pages.
+func buildStatsTree(t *testing.T, v1 bool, xmax, ymax int) *Tree {
 	t.Helper()
-	b, err := NewBuilder(newPool(t, 256), 2, Options{Measures: 2, PackFormat: format})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newPacker(t, newPool(t, 256), 2, Options{Measures: 2}, v1)
 	if err := b.BeginRun(1); err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +49,10 @@ func buildStatsTree(t *testing.T, format, xmax, ymax int) *Tree {
 // the zone extents pruned without decoding, and a nil stats pointer changes
 // nothing about the results.
 func TestSearchStatsReadSkipAccounting(t *testing.T) {
-	for _, format := range []int{FormatV1, FormatV2} {
-		name := map[int]string{FormatV1: "v1", FormatV2: "v2"}[format]
-		t.Run(name, func(t *testing.T) {
+	for _, v1 := range []bool{true, false} {
+		t.Run(formatName(v1), func(t *testing.T) {
 			const xmax, ymax = 60, 60
-			tree := buildStatsTree(t, format, xmax, ymax)
+			tree := buildStatsTree(t, v1, xmax, ymax)
 			info, err := tree.ScrubLeaves()
 			if err != nil {
 				t.Fatal(err)
@@ -131,10 +127,10 @@ func TestSearchStatsReadSkipAccounting(t *testing.T) {
 // coordinate columns with zeros beyond the leaf's arity, and selected rows
 // that are exactly the points the per-point form visits, in the same order.
 func TestSearchLeavesBatches(t *testing.T) {
-	for _, format := range []int{FormatV1, FormatV2} {
-		t.Run(map[int]string{FormatV1: "v1", FormatV2: "v2"}[format], func(t *testing.T) {
+	for _, v1 := range []bool{true, false} {
+		t.Run(formatName(v1), func(t *testing.T) {
 			const xmax, ymax = 60, 60
-			tree := buildStatsTree(t, format, xmax, ymax)
+			tree := buildStatsTree(t, v1, xmax, ymax)
 			// x in [3,40], y in [0,9]: part of the arity-1 run and a band of
 			// the arity-2 run.
 			lo, hi := []int64{3, 0}, []int64{40, 9}

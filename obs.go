@@ -7,6 +7,7 @@ import (
 	"cubetree/internal/core"
 	"cubetree/internal/dist"
 	"cubetree/internal/obs"
+	"cubetree/internal/rtree"
 )
 
 // ViewAnalytics is one view placement's storage shape and attributed
@@ -27,7 +28,7 @@ type ObserverOptions = obs.Options
 // NewObserver creates an observer with every sink attached: a registry
 // pre-populated with the query-path metrics, a tracer, and a slow-query log.
 // The registry also carries the process identity (build_info with the Go
-// version, default pack format, and wire protocol version; process start
+// version, the written pack format, and wire protocol version; process start
 // time and uptime) and the go_* runtime collector (heap, GC pauses,
 // goroutines, scheduler latency) — all evaluated lazily at snapshot time, so
 // they cost nothing on query hot paths.
@@ -36,18 +37,8 @@ func NewObserver(opts ObserverOptions) *Observer {
 	obs.EnableRuntimeMetrics(o.Registry)
 	obs.RegisterBuildInfo(o.Registry, obs.BuildInfo{
 		GoVersion:    runtime.Version(),
-		PackFormat:   packFormatLabel(PackFormatDefault),
+		PackFormat:   rtree.PackFormat,
 		WireProtocol: strconv.Itoa(dist.Version),
 	})
 	return o
-}
-
-// packFormatLabel names a Config.PackFormat value for the build_info gauge.
-func packFormatLabel(f int) string {
-	switch f {
-	case PackFormatV1:
-		return "v1"
-	default: // PackFormatDefault resolves to the current default, V2
-		return "v2"
-	}
 }

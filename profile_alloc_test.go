@@ -14,6 +14,9 @@ import (
 // query — both uninstrumented and with a full observer attached. Profiling
 // must be pay-for-what-you-use, like the rest of the observability layer.
 func TestProfileOffAllocParity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
 	w, err := cubetree.Materialize(testConfig(t), testViews(), facts())
 	if err != nil {
 		t.Fatal(err)

@@ -230,7 +230,6 @@ func Materialize(cfg Config, views []View, rows RowIter) (*Warehouse, error) {
 		Stats:          cfg.Stats,
 		Workers:        cfg.Workers,
 		Span:           buildSp,
-		PackFormat:     cfg.PackFormat,
 	})
 	o.ObservePhase("materialize_build", buildSp)
 	if err != nil {
@@ -585,7 +584,6 @@ func (w *Warehouse) BeginUpdate(rows RowIter) (*PendingUpdate, error) {
 		Domains:        w.cfg.Domains,
 		Stats:          w.cfg.Stats,
 		Span:           mergeSp,
-		PackFormat:     w.cfg.PackFormat,
 	})
 	o.ObservePhase("refresh_merge", mergeSp)
 	if err != nil {
