@@ -11,6 +11,7 @@
 package cubetree_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -319,16 +320,21 @@ func BenchmarkFig13Concurrent(b *testing.B) {
 	}
 	type engine struct {
 		name  string
-		exec  func([]workload.Query, int) ([][]workload.Row, error)
+		exec  func(workload.Query) ([]workload.Row, error)
 		stats *pager.Stats
 	}
 	for _, e := range []engine{
-		{"conv", s.Conv.ExecuteBatch, s.ConvStats()},
-		{"cube", s.Forest.ExecuteBatch, s.CubeStats()},
+		{"conv", s.Conv.Execute, s.ConvStats()},
+		{"cube", s.Forest.Execute, s.CubeStats()},
 	} {
+		batch := func(clients int) ([][]workload.Row, error) {
+			return workload.ExecuteBatch(context.Background(), func(_ context.Context, q workload.Query) ([]workload.Row, error) {
+				return e.exec(q)
+			}, queries, clients, nil)
+		}
 		// Warm the pool once so every client count starts from the same
 		// cached state.
-		if _, err := e.exec(queries, 1); err != nil {
+		if _, err := batch(1); err != nil {
 			b.Fatal(err)
 		}
 		for _, c := range clients {
@@ -336,7 +342,7 @@ func BenchmarkFig13Concurrent(b *testing.B) {
 				mark := e.stats.Snapshot()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := e.exec(queries, c); err != nil {
+					if _, err := batch(c); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -41,18 +41,10 @@ func main() {
 		thresh  = flag.Float64("compare-threshold", experiment.DefaultTrendThreshold, "fractional QPS drop flagged as a regression by -compare")
 		dbgAddr = flag.String("debug-addr", "", "serve /debug/metrics, /debug/traces, and pprof on this address while the run is live")
 		slow    = flag.Duration("slow", 0, "log queries at or above this latency to the slow-query log (0 = off)")
-		srvURL  = flag.String("server", "", "run the throughput sweep against a running cubetreed at this URL instead of building a local setup")
 		measure = flag.Duration("measure", time.Second, "minimum measurement window per throughput-sweep row (batch repeats to fill it; 0 = single pass)")
 		workers = flag.String("workers", "1,2,4", "cluster sizes for -exp scaling, comma-separated")
 	)
 	flag.Parse()
-
-	if *srvURL != "" {
-		if err := runServerSweep(*srvURL, *queries, *seed, experiment.DefaultClients()); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	m := pager.Disk1998
 	if *model == "ssd-2020" {

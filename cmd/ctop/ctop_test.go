@@ -239,7 +239,7 @@ func TestOnceAgainstLiveCluster(t *testing.T) {
 	h.Sample()
 
 	for i := 0; i < 20; i++ {
-		if _, err := coord.QueryCtx(context.Background(), cubetree.Query{}); err != nil {
+		if _, err := coord.QueryProfiledCtx(context.Background(), cubetree.Query{}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

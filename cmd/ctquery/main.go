@@ -1,11 +1,12 @@
-// Command ctquery runs slice queries against a Cubetree warehouse built
-// with ctload (or the cubetree package):
+// Command ctquery runs one slice query against a Cubetree warehouse built
+// with ctload (or the cubetree package), in process or over HTTP against a
+// running cubetreed:
 //
 //	ctquery -dir ./wh -node partkey,suppkey -fix partkey=17
-//	ctquery -dir ./wh -node custkey -random 100
+//	ctquery -dir ./wh -profile -sql 'SELECT suppkey, sum(quantity) FROM sales WHERE partkey = 17 GROUP BY suppkey'
+//	ctquery -server http://127.0.0.1:8347 -json -profile -node custkey
 //
-// With -random it generates a batch of uniform slice queries on the node
-// (the paper's query generator) and reports throughput.
+// Throughput is measured by the bench/ module and ctbench -exp throughput.
 package main
 
 import (
@@ -13,16 +14,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"cubetree"
 
 	"cubetree/internal/lattice"
-	"cubetree/internal/pager"
 	"cubetree/internal/sqlish"
-	"cubetree/internal/workload"
 )
 
 func main() {
@@ -31,14 +29,8 @@ func main() {
 		node    = flag.String("node", "", "comma-separated group-by attributes (empty = super-aggregate)")
 		fix     = flag.String("fix", "", "comma-separated equality predicates attr=value")
 		sql     = flag.String("sql", "", "run a SQL slice query instead of -node/-fix")
-		explain = flag.Bool("explain", false, "print the plan instead of executing")
-		random  = flag.Int("random", 0, "run N random slice queries on the node instead of one explicit query")
-		par     = flag.Int("parallel", 1, "concurrent clients for -random batches")
-		seed    = flag.Uint64("seed", 7, "random query seed")
+		explain = flag.Bool("explain", false, "print the plan instead of executing (in-process only)")
 		limit   = flag.Int("limit", 20, "max result rows to print")
-		dbgAddr = flag.String("debug-addr", "", "serve /debug/metrics, /debug/traces, /debug/warehouse, and pprof on this address")
-		slow    = flag.Duration("slow", 0, "log queries at or above this latency and print them at exit (0 = off)")
-		stats_  = flag.Bool("stats", false, "print a per-view breakdown (hits, scan volume, selectivity, pool hit ratio) at exit")
 		srvURL  = flag.String("server", "", "query a running cubetreed at this URL over HTTP instead of opening -dir")
 		profile = flag.Bool("profile", false, "print an EXPLAIN-ANALYZE execution profile for the query")
 		jsonOut = flag.Bool("json", false, "server mode: print the raw JSON response envelope instead of a table")
@@ -47,8 +39,7 @@ func main() {
 	flag.Parse()
 	if *srvURL != "" {
 		runServerMode(serverOpts{
-			base: *srvURL, sql: *sql, node: *node, fix: *fix,
-			random: *random, par: *par, limit: *limit, seed: *seed,
+			base: *srvURL, sql: *sql, node: *node, fix: *fix, limit: *limit,
 			profile: *profile, jsonOut: *jsonOut, trace: *trace,
 		})
 		return
@@ -57,191 +48,69 @@ func main() {
 		fatal(fmt.Errorf("-dir is required"))
 	}
 
-	stats := &cubetree.Stats{}
-	w, err := cubetree.Open(*dir, stats)
+	w, err := cubetree.Open(*dir, &cubetree.Stats{})
 	if err != nil {
 		fatal(err)
 	}
 	defer w.Close()
 
-	var o *cubetree.Observer
-	if *dbgAddr != "" || *slow > 0 || *stats_ {
-		o = cubetree.NewObserver(cubetree.ObserverOptions{SlowThreshold: *slow, Stats: stats})
-		w.SetObserver(o)
+	var st *sqlish.Statement
+	var q cubetree.Query
+	if *sql != "" {
+		if st, err = sqlish.Parse(*sql); err != nil {
+			fatal(err)
+		}
+		q = st.Query
+	} else if q, err = queryFromFlags(*node, *fix); err != nil {
+		fatal(err)
 	}
-	if *stats_ {
-		defer printViewStats(w)
-	}
-	if *dbgAddr != "" {
-		srv, err := cubetree.ServeDebug(*dbgAddr, w, o)
+	if *explain {
+		plan, err := w.Explain(q)
 		if err != nil {
 			fatal(err)
 		}
-		defer srv.Close()
-		fmt.Printf("debug server on http://%s/debug/metrics\n", srv.Addr())
+		fmt.Println(plan)
+		return
 	}
-	if *slow > 0 {
-		defer printSlow(o)
+	var prof *cubetree.QueryProfile
+	if *profile {
+		prof = &cubetree.QueryProfile{}
 	}
-
-	if *sql != "" {
-		if *explain {
-			plan, err := w.ExplainSQL(*sql)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(plan)
-			return
+	start := time.Now()
+	rows, err := w.QueryProfiledCtx(context.Background(), q, prof)
+	if err != nil {
+		fatal(err)
+	}
+	if st != nil {
+		headers, out, err := st.Format(rows, lattice.Schema(w.Schema()))
+		if err != nil {
+			fatal(err)
 		}
-		start := time.Now()
-		var headers []string
-		var rows [][]string
-		var prof *cubetree.QueryProfile
-		if *profile {
-			st, err := sqlish.Parse(*sql)
-			if err != nil {
-				fatal(err)
-			}
-			prof = &cubetree.QueryProfile{}
-			resRows, err := w.QueryProfiledCtx(context.Background(), st.Query, prof)
-			if err != nil {
-				fatal(err)
-			}
-			headers, rows, err = st.Format(resRows, lattice.Schema(w.Schema()))
-			if err != nil {
-				fatal(err)
-			}
-		} else {
-			var err error
-			headers, rows, err = w.QuerySQL(*sql)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Println(strings.Join(headers, "\t"))
+		printTable(headers, out, *limit)
+		fmt.Printf("(%d rows in %v)\n", len(out), time.Since(start).Round(time.Microsecond))
+	} else {
+		fmt.Printf("%s -> %d rows in %v\n", q, len(rows), time.Since(start).Round(time.Microsecond))
 		for i, r := range rows {
 			if i >= *limit {
 				fmt.Printf("... %d more rows\n", len(rows)-*limit)
 				break
 			}
-			fmt.Println(strings.Join(r, "\t"))
+			fmt.Printf("  %v  sum=%d count=%d avg=%.2f\n", r.Group, r.Sum, r.Count, r.Avg())
 		}
-		fmt.Printf("(%d rows in %v)\n", len(rows), time.Since(start).Round(time.Microsecond))
-		printProfile(prof)
-		return
-	}
-
-	var attrs []cubetree.Attr
-	if *node != "" {
-		for _, a := range strings.Split(*node, ",") {
-			attrs = append(attrs, cubetree.Attr(strings.TrimSpace(a)))
-		}
-	}
-
-	if *random > 0 {
-		domains := w.Domains()
-		for _, v := range w.Views() {
-			for _, a := range v.Attrs {
-				if domains[a] <= 0 {
-					domains[a] = 1 << 20 // unknown: misses simply return empty
-				}
-			}
-		}
-		gen := workload.NewGenerator(*seed, domains)
-		queries := gen.Batch(attrs, *random)
-		start := time.Now()
-		mark := stats.Snapshot()
-		results, err := w.QueryBatch(queries, *par)
-		if err != nil {
-			fatal(err)
-		}
-		wall := time.Since(start)
-		io := stats.Snapshot().Sub(mark)
-		var rowsOut int
-		for _, rows := range results {
-			rowsOut += len(rows)
-		}
-		fmt.Printf("%d queries on {%s} x%d clients: %d result rows, wall %v (%.1f q/s), I/O %s, modelled %v\n",
-			*random, *node, *par, rowsOut, wall.Round(time.Millisecond),
-			float64(*random)/wall.Seconds(), io, pager.Disk1998.Cost(io).Round(time.Millisecond))
-		return
-	}
-
-	q := cubetree.Query{Node: attrs}
-	if *fix != "" {
-		for _, pred := range strings.Split(*fix, ",") {
-			parts := strings.SplitN(pred, "=", 2)
-			if len(parts) != 2 {
-				fatal(fmt.Errorf("bad predicate %q (want attr=value)", pred))
-			}
-			v, err := strconv.ParseInt(strings.TrimSpace(parts[1]), 10, 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad predicate value in %q: %v", pred, err))
-			}
-			q.Fixed = append(q.Fixed, cubetree.Pred{
-				Attr:  cubetree.Attr(strings.TrimSpace(parts[0])),
-				Value: v,
-			})
-		}
-	}
-	start := time.Now()
-	var rows []cubetree.Row
-	var prof *cubetree.QueryProfile
-	if *profile {
-		prof = &cubetree.QueryProfile{}
-		rows, err = w.QueryProfiledCtx(context.Background(), q, prof)
-	} else {
-		rows, err = w.Query(q)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s -> %d rows in %v\n", q, len(rows), time.Since(start).Round(time.Microsecond))
-	for i, r := range rows {
-		if i >= *limit {
-			fmt.Printf("... %d more rows\n", len(rows)-*limit)
-			break
-		}
-		fmt.Printf("  %v  sum=%d count=%d avg=%.2f\n", r.Group, r.Sum, r.Count, r.Avg())
 	}
 	printProfile(prof)
 }
 
-// printViewStats renders the per-view analytics accumulated over the run:
-// which views answered queries, how much they scanned versus returned
-// (selectivity), and how well their leaf pages stayed in the buffer pool.
-func printViewStats(w *cubetree.Warehouse) {
-	fmt.Println("\nper-view stats:")
-	fmt.Printf("  %-28s %4s %6s %12s %12s %6s\n",
-		"view", "tree", "hits", "avg scanned", "selectivity", "hit%")
-	for _, va := range w.ViewAnalytics() {
-		avgScanned, sel := 0.0, 0.0
-		if va.QueryHits > 0 {
-			avgScanned = float64(va.PointsScanned) / float64(va.QueryHits)
+// printTable prints formatted result rows under their headers, tab
+// separated, stopping after limit rows.
+func printTable(headers []string, rows [][]string, limit int) {
+	fmt.Println(strings.Join(headers, "\t"))
+	for i, r := range rows {
+		if i >= limit {
+			fmt.Printf("... %d more rows\n", len(rows)-limit)
+			break
 		}
-		if va.PointsScanned > 0 {
-			sel = float64(va.RowsReturned) / float64(va.PointsScanned)
-		}
-		hitPct := 0.0
-		if va.LeafPageReads > 0 {
-			hitPct = 100 * float64(va.LeafPageReads-va.LeafPageMisses) / float64(va.LeafPageReads)
-		}
-		fmt.Printf("  %-28s %4d %6d %12.1f %12.4f %5.1f%%\n",
-			va.View, va.Tree, va.QueryHits, avgScanned, sel, hitPct)
-	}
-}
-
-// printSlow dumps the slow-query log, newest first, once the batch is done.
-func printSlow(o *cubetree.Observer) {
-	entries := o.Slow.Snapshot()
-	if len(entries) == 0 {
-		fmt.Println("slow-query log: empty")
-		return
-	}
-	fmt.Printf("slow-query log (threshold %v, %d total):\n", o.Slow.Threshold(), o.Slow.Total())
-	for _, e := range entries {
-		fmt.Printf("  %v  view=%s scanned=%d rows=%d io={%s}  %s\n",
-			e.Duration.Round(time.Microsecond), e.View, e.Scanned, e.Rows, e.IO, e.Query)
+		fmt.Println(strings.Join(r, "\t"))
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cubetree/internal/lattice"
@@ -22,30 +20,14 @@ type serverOpts struct {
 	sql     string
 	node    string
 	fix     string
-	random  int
-	par     int
 	limit   int
-	seed    uint64
 	profile bool
 	jsonOut bool
 	trace   string
 }
 
 func runServerMode(o serverOpts) {
-	var retries atomic.Int64
-	c := &server.Client{
-		Base: strings.TrimRight(o.base, "/"),
-		OnRetry: func(attempt, status int, wait time.Duration) {
-			retries.Add(1)
-		},
-	}
-	ctx := context.Background()
-
-	if o.random > 0 {
-		runServerBatch(ctx, c, o, &retries)
-		return
-	}
-
+	c := &server.Client{Base: strings.TrimRight(o.base, "/")}
 	sql := o.sql
 	if sql == "" {
 		q, err := queryFromFlags(o.node, o.fix)
@@ -55,12 +37,13 @@ func runServerMode(o serverOpts) {
 		sql = server.SQLFor(q)
 	}
 	start := time.Now()
-	resp, err := c.QueryWith(ctx, []string{sql}, server.QueryOpts{Profile: o.profile, TraceID: o.trace})
+	resp, err := c.Query(context.Background(), sql, server.QueryOpts{Profile: o.profile, TraceID: o.trace})
 	if err != nil {
 		fatal(err)
 	}
 	if o.jsonOut {
-		raw, err := json.MarshalIndent(resp, "", "  ")
+		// Compact, as the server sent it, so scripts can grep the envelope.
+		raw, err := json.Marshal(resp)
 		if err != nil {
 			fatal(err)
 		}
@@ -68,14 +51,7 @@ func runServerMode(o serverOpts) {
 		return
 	}
 	res := &resp.Results[0]
-	fmt.Println(strings.Join(res.Headers, "\t"))
-	for i, r := range res.Rows {
-		if i >= o.limit {
-			fmt.Printf("... %d more rows\n", len(res.Rows)-o.limit)
-			break
-		}
-		fmt.Println(strings.Join(r, "\t"))
-	}
+	printTable(res.Headers, res.Rows, o.limit)
 	cached := ""
 	if res.Cached {
 		cached = ", cached"
@@ -87,86 +63,6 @@ func runServerMode(o serverOpts) {
 	fmt.Printf("(%d rows in %v via %s%s%s)\n",
 		len(res.Rows), time.Since(start).Round(time.Microsecond), c.Base, cached, trace)
 	printProfile(res.Profile)
-}
-
-// runServerBatch mirrors the local -random load: N random slice queries on
-// the node, issued as individual HTTP requests by -parallel workers, so the
-// daemon's admission path is what gets exercised.
-func runServerBatch(ctx context.Context, c *server.Client, o serverOpts, retries *atomic.Int64) {
-	views, err := c.Views(ctx)
-	if err != nil {
-		fatal(err)
-	}
-	domains := map[lattice.Attr]int64{}
-	for a, d := range views.Domains {
-		domains[lattice.Attr(a)] = d
-	}
-	for _, v := range views.Views {
-		for _, a := range v.Attrs {
-			if domains[lattice.Attr(a)] <= 0 {
-				domains[lattice.Attr(a)] = 1 << 20 // unknown: misses return empty
-			}
-		}
-	}
-	var attrs []lattice.Attr
-	if o.node != "" {
-		for _, a := range strings.Split(o.node, ",") {
-			attrs = append(attrs, lattice.Attr(strings.TrimSpace(a)))
-		}
-	}
-	gen := workload.NewGenerator(o.seed, domains)
-	sqls := make([]string, o.random)
-	for i, q := range gen.Batch(attrs, o.random) {
-		sqls[i] = server.SQLFor(q)
-	}
-
-	par := o.par
-	if par < 1 {
-		par = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		next     = make(chan string)
-		rowsOut  atomic.Int64
-		cached   atomic.Int64
-		shed     atomic.Int64
-		firstErr atomic.Value
-	)
-	start := time.Now()
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sql := range next {
-				resp, err := c.QueryWith(ctx, []string{sql}, server.QueryOpts{TraceID: o.trace})
-				if err != nil {
-					if apiErr, ok := err.(*server.APIError); ok && (apiErr.Status == 429 || apiErr.Status == 503) {
-						shed.Add(1)
-						continue
-					}
-					firstErr.CompareAndSwap(nil, err)
-					continue
-				}
-				res := &resp.Results[0]
-				rowsOut.Add(int64(len(res.Rows)))
-				if res.Cached {
-					cached.Add(1)
-				}
-			}
-		}()
-	}
-	for _, sql := range sqls {
-		next <- sql
-	}
-	close(next)
-	wg.Wait()
-	if err, ok := firstErr.Load().(error); ok && err != nil {
-		fatal(err)
-	}
-	wall := time.Since(start)
-	fmt.Printf("%d queries on {%s} x%d clients via %s: %d result rows, wall %v (%.1f q/s), %d cached, %d retries, %d shed after retries\n",
-		o.random, o.node, par, c.Base, rowsOut.Load(), wall.Round(time.Millisecond),
-		float64(o.random)/wall.Seconds(), cached.Load(), retries.Load(), shed.Load())
 }
 
 // queryFromFlags builds the slice query the -node/-fix flags describe.

@@ -2,70 +2,63 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"cubetree/internal/obs"
+	"cubetree/internal/pager"
 	"cubetree/internal/rtree"
 	"cubetree/internal/workload"
 )
 
-// executeObserved is Execute with the observer attached: the query is
-// counted, traced (routing decision, points scanned, per-query pool I/O
-// delta), its latency recorded in the query histogram, and — when it crosses
-// the slow-query threshold — logged with its I/O delta. The I/O delta is a
-// before/after snapshot of the forest's shared Stats, so under concurrent
-// queries it may include pages of overlapping queries (see
-// docs/OBSERVABILITY.md).
-//
-// The span (and any slow-log entry) is tagged with the trace ID carried by
-// ctx, so /debug/traces on this process can be filtered to one request.
-// prof, when non-nil, additionally receives the EXPLAIN-ANALYZE breakdown;
-// when nil the search runs without leaf counters, identical to before.
-func (f *Forest) executeObserved(ctx context.Context, q workload.Query, prof *workload.QueryProfile) ([]workload.Row, error) {
-	o := f.obs
-	start := time.Now()
-	before := f.stats.Snapshot()
+// startSpan counts a query on observer o and opens its root span, tagged
+// with the trace ID carried by ctx so /debug/traces on this process can be
+// filtered to one request. With a nil o it returns nil, which every span
+// method accepts.
+func startSpan(ctx context.Context, o *obs.Observer, q workload.Query) *obs.Span {
+	if o == nil {
+		return nil
+	}
 	sp := o.Tracer.StartRootShort("query")
 	sp.SetTraceID(obs.TraceIDFrom(ctx))
 	sp.SetStringer("query", q)
 	o.Queries.Inc()
+	return sp
+}
 
-	fail := func(err error) ([]workload.Row, error) {
-		o.QueryErrors.Inc()
-		sp.SetStr("error", err.Error())
-		sp.End()
-		o.QueryLatency.ObserveDuration(time.Since(start))
-		return nil, err
+// observeFailure records on o a query that failed before it was routed.
+func observeFailure(o *obs.Observer, sp *obs.Span, start time.Time, err error) {
+	if o == nil {
+		return
 	}
-	if err := q.Validate(); err != nil {
-		return fail(err)
-	}
-	best := f.choosePlacement(q)
-	if best < 0 {
-		return fail(fmt.Errorf("%w: %s", ErrNoPlacement, q))
+	o.QueryErrors.Inc()
+	sp.SetStr("error", err.Error())
+	sp.End()
+	o.QueryLatency.ObserveDuration(time.Since(start))
+}
+
+// observe records one routed query on observer o: the span gets the routing
+// decision, points scanned and the per-query pool I/O delta, the latency
+// lands in the query histogram, the view's analytics advance, and a query
+// past the slow threshold is logged with its I/O delta. The delta is a
+// before/after snapshot of the forest's shared Stats, so under concurrent
+// queries it may include pages of overlapping queries (see
+// docs/OBSERVABILITY.md). st is non-nil exactly when the query was profiled.
+func (f *Forest) observe(ctx context.Context, o *obs.Observer, sp *obs.Span, q workload.Query, best int, rows []workload.Row, scanned int64, st *rtree.SearchStats, delta pager.StatsSnapshot, dur time.Duration, err error) {
+	if o == nil {
+		return
 	}
 	p := &f.placements[best]
 	// &p.View: boxing the pointer avoids copying the View into the interface.
 	sp.SetStringer("view", &p.View)
 	sp.SetInt("tree", int64(p.Tree))
-
-	var st *rtree.SearchStats
-	if prof != nil {
-		o.ProfiledQueries.Inc()
-		st = new(rtree.SearchStats)
-	}
-	rows, scanned, err := f.executeOn(ctx, p, q, st)
-	dur := time.Since(start)
-	delta := f.stats.Snapshot().Sub(before)
 	sp.SetInt("points_scanned", scanned)
 	sp.SetInt("rows", int64(len(rows)))
 	sp.SetInt("pool_hits", int64(delta.PoolHits))
 	sp.SetInt("pool_misses", int64(delta.PoolMisses))
-	if prof != nil {
+	if st != nil {
+		o.ProfiledQueries.Inc()
 		sp.SetInt("leaf_pages_read", st.LeafPagesRead)
 		sp.SetInt("leaf_pages_skipped", st.LeafPagesSkipped)
-		fillProfile(prof, p, rows, scanned, st, delta, dur)
 	}
 	if err != nil {
 		o.QueryErrors.Inc()
@@ -93,5 +86,4 @@ func (f *Forest) executeObserved(ctx context.Context, q workload.Query, prof *wo
 			IO:       delta,
 		})
 	}
-	return rows, err
 }

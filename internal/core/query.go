@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cubetree/internal/lattice"
+	"cubetree/internal/obs"
 	"cubetree/internal/pager"
 	"cubetree/internal/rtree"
 	"cubetree/internal/workload"
@@ -18,8 +19,8 @@ import (
 // an engine failure; a server maps it to a 4xx.
 var ErrNoPlacement = errors.New("core: no placement covers query")
 
-// Execute answers a slice query against the forest. It implements
-// workload.Engine.
+// Execute answers a slice query against the forest; it is ExecuteProfiledCtx
+// without a context or a profile.
 //
 // Planning: among all placements whose view covers the query's node, the
 // planner picks the one expected to touch the fewest leaves. Because a
@@ -29,54 +30,49 @@ var ErrNoPlacement = errors.New("core: no placement covers query")
 // This is what makes replicas in different sort orders useful: each makes a
 // different predicate set cheap.
 func (f *Forest) Execute(q workload.Query) ([]workload.Row, error) {
-	return f.ExecuteCtx(context.Background(), q)
+	return f.ExecuteProfiledCtx(context.Background(), q, nil)
 }
 
-// ExecuteCtx is Execute under a context: once ctx is cancelled or past its
-// deadline the leaf scan stops within one leaf page and the context's error
-// is returned, so a timed-out or disconnected client stops
-// consuming I/O instead of scanning to completion. It implements
-// workload.EngineCtx.
-func (f *Forest) ExecuteCtx(ctx context.Context, q workload.Query) ([]workload.Row, error) {
-	if f.obs != nil {
-		return f.executeObserved(ctx, q, nil)
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	best := f.choosePlacement(q)
-	if best < 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoPlacement, q)
-	}
-	rows, _, err := f.executeOn(ctx, &f.placements[best], q, nil)
-	return rows, err
-}
-
-// ExecuteProfiledCtx is ExecuteCtx, additionally filling prof with an
+// ExecuteProfiledCtx is the forest's one query path. Once ctx is cancelled or
+// past its deadline the leaf scan stops within one leaf page and the
+// context's error is returned, so a timed-out or disconnected client stops
+// consuming I/O instead of scanning to completion. A non-nil prof receives an
 // EXPLAIN-ANALYZE-style breakdown of the execution: routing decision, points
 // scanned, leaf pages read vs zone-map skipped, the per-query pool hit/miss
-// delta, and wall time. A nil prof makes it identical to ExecuteCtx — the
-// profile-off path takes the exact same branches and allocates nothing extra.
+// delta, and wall time. With a nil prof and no observer attached the query
+// reads no clock, takes no Stats snapshot and opens no span.
+//
+// The observer is read once, so a query whose observer is detached (or
+// attached) mid-flight records all of its metrics on one observer or none.
 func (f *Forest) ExecuteProfiledCtx(ctx context.Context, q workload.Query, prof *workload.QueryProfile) ([]workload.Row, error) {
-	if prof == nil {
-		return f.ExecuteCtx(ctx, q)
+	o := f.obs
+	measured := o != nil || prof != nil
+	var start time.Time
+	var before pager.StatsSnapshot
+	var sp *obs.Span
+	if measured {
+		start, before = time.Now(), f.stats.Snapshot()
+		sp = startSpan(ctx, o, q)
 	}
-	if f.obs != nil {
-		return f.executeObserved(ctx, q, prof)
-	}
-	start := time.Now()
-	before := f.stats.Snapshot()
-	if err := q.Validate(); err != nil {
+	best, err := f.plan(q)
+	if err != nil {
+		observeFailure(o, sp, start, err)
 		return nil, err
 	}
-	best := f.choosePlacement(q)
-	if best < 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoPlacement, q)
-	}
 	p := &f.placements[best]
-	var st rtree.SearchStats
-	rows, scanned, err := f.executeOn(ctx, p, q, &st)
-	fillProfile(prof, p, rows, scanned, &st, f.stats.Snapshot().Sub(before), time.Since(start))
+	var st *rtree.SearchStats
+	if prof != nil {
+		st = new(rtree.SearchStats)
+	}
+	rows, scanned, err := f.executeOn(ctx, p, q, st)
+	if !measured {
+		return rows, err
+	}
+	dur, delta := time.Since(start), f.stats.Snapshot().Sub(before)
+	if prof != nil {
+		fillProfile(prof, p, rows, scanned, st, delta, dur)
+	}
+	f.observe(ctx, o, sp, q, best, rows, scanned, st, delta, dur, err)
 	return rows, err
 }
 
@@ -93,9 +89,12 @@ func fillProfile(prof *workload.QueryProfile, p *Placement, rows []workload.Row,
 	prof.DurationNS = int64(dur)
 }
 
-// choosePlacement returns the index of the cheapest placement covering q, or
-// -1 when none does.
-func (f *Forest) choosePlacement(q workload.Query) int {
+// plan validates q and returns the index of the cheapest placement covering
+// it. It is the one place a query no view covers becomes ErrNoPlacement.
+func (f *Forest) plan(q workload.Query) (int, error) {
+	if err := q.Validate(); err != nil {
+		return -1, err
+	}
 	best := -1
 	bestCost := math.MaxFloat64
 	for i := range f.placements {
@@ -109,7 +108,10 @@ func (f *Forest) choosePlacement(q workload.Query) int {
 			best = i
 		}
 	}
-	return best
+	if best < 0 {
+		return -1, fmt.Errorf("%w: %s", ErrNoPlacement, q)
+	}
+	return best, nil
 }
 
 // placementCost estimates work when answering q on p, in points touched.
@@ -237,12 +239,9 @@ type PlanInfo struct {
 
 // Plan returns the planner's choice for q without executing it.
 func (f *Forest) Plan(q workload.Query) (PlanInfo, error) {
-	if err := q.Validate(); err != nil {
+	best, err := f.plan(q)
+	if err != nil {
 		return PlanInfo{}, err
-	}
-	best := f.choosePlacement(q)
-	if best < 0 {
-		return PlanInfo{}, fmt.Errorf("core: no placement covers %s", q)
 	}
 	p := &f.placements[best]
 	return PlanInfo{Placement: *p, EstLeaves: f.placementCost(p, q)}, nil
@@ -270,15 +269,3 @@ func rangeAt(q workload.Query, attr lattice.Attr, lo, hi *int64) bool {
 	}
 	return ok
 }
-
-// ExecuteBatch answers qs with up to parallelism concurrent workers. The
-// forest is immutable once built and the buffer pool is sharded, so queries
-// only contend on the pool shards their pages map to.
-func (f *Forest) ExecuteBatch(qs []workload.Query, parallelism int) ([][]workload.Row, error) {
-	if f.obs != nil {
-		return workload.ExecuteBatchObserved(f, qs, parallelism, f.obs.Inflight, f.obs.Batches)
-	}
-	return workload.ExecuteBatch(f, qs, parallelism)
-}
-
-var _ workload.Engine = (*Forest)(nil)

@@ -131,7 +131,11 @@ func (c *flipCtx) Err() error {
 func TestCancelMidScan(t *testing.T) {
 	f := buildBandForest(t)
 	q := custBand(50, "suppkey", "custkey")
-	p := &f.placements[f.choosePlacement(q)]
+	best, err := f.plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &f.placements[best]
 	_, total, err := f.executeOn(context.Background(), p, q, nil)
 	if err != nil || total != 15000 {
 		t.Fatalf("uncancelled scan: %d points, %v", total, err)

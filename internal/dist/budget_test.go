@@ -126,7 +126,7 @@ func (cl *tpcdCluster) sliceAnswers(tb testing.TB) [][]cubetree.Row {
 	tb.Helper()
 	answers := make([][]cubetree.Row, len(cl.slices))
 	for i, q := range cl.slices {
-		rows, err := cl.coord.QueryCtx(context.Background(), q)
+		rows, err := cl.coord.QueryProfiledCtx(context.Background(), q, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -154,12 +154,12 @@ func TestClusterQueryAllocBudget(t *testing.T) {
 		{Node: []cubetree.Attr{tpcd.AttrSupplier}, Ranges: []workload.Range{{Attr: tpcd.AttrSupplier, Lo: 1, Hi: 10}}},
 		{Node: []cubetree.Attr{tpcd.AttrPart}, Ranges: []workload.Range{{Attr: tpcd.AttrPart, Lo: 1, Hi: 1000}}},
 	} {
-		rows, err := cl.coord.QueryCtx(context.Background(), q)
+		rows, err := cl.coord.QueryProfiledCtx(context.Background(), q, nil)
 		if err != nil || (len(rows) != 10 && len(rows) != 1000) {
 			t.Fatalf("%s: %d rows, %v", q, len(rows), err)
 		}
 		allocs[i] = testing.AllocsPerRun(50, func() {
-			if _, err := cl.coord.QueryCtx(context.Background(), q); err != nil {
+			if _, err := cl.coord.QueryProfiledCtx(context.Background(), q, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -170,16 +170,16 @@ func TestClusterQueryAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkClusterQuery is the slice list through Coordinator.QueryCtx on a
-// 2-worker loopback cluster: the cluster tax per query, client and HTTP
-// front door excluded.
+// BenchmarkClusterQuery is the slice list through
+// Coordinator.QueryProfiledCtx on a 2-worker loopback cluster: the cluster
+// tax per query, client and HTTP front door excluded.
 func BenchmarkClusterQuery(b *testing.B) {
 	cl := startTPCDCluster(b, 0.01, 1024)
 	cl.sliceAnswers(b) // warm the pools and connections
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cl.coord.QueryCtx(context.Background(), cl.slices[i%len(cl.slices)]); err != nil {
+		if _, err := cl.coord.QueryProfiledCtx(context.Background(), cl.slices[i%len(cl.slices)], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func TestClusterAnswersSurviveConnectionReuse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, q := range cl.slices {
-				rows, err := cl.coord.QueryCtx(context.Background(), q)
+				rows, err := cl.coord.QueryProfiledCtx(context.Background(), q, nil)
 				if err != nil {
 					t.Error(err)
 					return

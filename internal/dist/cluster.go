@@ -35,11 +35,9 @@ type ClusterShard struct {
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
-// FleetMetrics is the cross-shard merge of the scraped snapshots: counters
-// and gauges summed over every shard that answered, histograms merged
-// bucket-by-bucket. Sums are the right fold for the first two — counters are
-// monotone event counts and the gauges of interest (pool frames, inflight,
-// points) are extensive quantities — and every obs.Histogram shares the same
+// FleetMetrics is the cross-shard merge (obs.Snapshot.Merge) of the scraped
+// snapshots: counters and gauges summed over every shard that answered,
+// histograms merged bucket-by-bucket. Every obs.Histogram shares the same
 // log2 bucket grid, so merged percentiles are exact at bucket granularity.
 type FleetMetrics struct {
 	Counters   map[string]uint64                `json:"counters"`
@@ -86,13 +84,10 @@ func (c *Coordinator) ClusterInfo(ctx context.Context) ClusterInfo {
 		return nil
 	})
 
-	info := ClusterInfo{
-		Fleet: FleetMetrics{
-			Counters:   map[string]uint64{},
-			Gauges:     map[string]int64{},
-			Histograms: map[string]obs.HistogramSnapshot{},
-		},
-	}
+	var info ClusterInfo
+	// Empty, not nil, so a scrape no shard answered still serves
+	// "counters": {} and "gauges": {}.
+	fleet := obs.Snapshot{Counters: map[string]uint64{}, Gauges: map[string]int64{}}
 	first := true
 	for i, sh := range c.shards {
 		row := &rows[i]
@@ -107,15 +102,7 @@ func (c *Coordinator) ClusterInfo(ctx context.Context) ClusterInfo {
 			row.PoolResidentFrames = mp.Metrics.Gauges["pool_resident_frames"]
 			row.PoolPinnedFrames = mp.Metrics.Gauges["pool_pinned_frames"]
 			row.PoolCapacityFrames = mp.Metrics.Gauges["pool_capacity_frames"]
-			for name, v := range mp.Metrics.Counters {
-				info.Fleet.Counters[name] += v
-			}
-			for name, v := range mp.Metrics.Gauges {
-				info.Fleet.Gauges[name] += v
-			}
-			for name, h := range mp.Metrics.Histograms {
-				info.Fleet.Histograms[name] = obs.MergeHistogramSnapshots(info.Fleet.Histograms[name], h)
-			}
+			fleet.Merge(mp.Metrics)
 			if first || mp.Generation < info.GenerationMin {
 				info.GenerationMin = mp.Generation
 			}
@@ -128,15 +115,15 @@ func (c *Coordinator) ClusterInfo(ctx context.Context) ClusterInfo {
 	info.Generation = c.Generation()
 	info.GenerationSkew = info.GenerationMax - info.GenerationMin
 	info.Shards = rows
+	info.Fleet = FleetMetrics{fleet.Counters, fleet.Gauges, fleet.Histograms}
 	return info
 }
 
 // FleetSnapshot folds one ClusterInfo scrape into a single obs.Snapshot: the
 // coordinator's own registry (dist_* families, server-side counters) plus
-// every worker's counters, gauges, and histograms summed or bucket-merged on
-// top. Names shared by coordinator and workers add together — every metric in
-// play is an extensive quantity, so the sum reads as "the whole fleet did
-// this much". This is the Source a coordinator hands its history ring: the
+// every worker's counters, gauges, and histograms merged on top
+// (obs.Snapshot.Merge), so names shared by coordinator and workers add
+// together. This is the Source a coordinator hands its history ring: the
 // time-series and SLO views then describe the cluster, not one process, and
 // the rollup rides the same metrics/metricsReply wire frames /debug/cluster
 // uses, so a worker that fails the scrape degrades to a per-shard scrape
@@ -151,24 +138,7 @@ func (c *Coordinator) FleetSnapshot(ctx context.Context) obs.Snapshot {
 	if snap.TakenUnixNS == 0 {
 		snap.TakenUnixNS = time.Now().UnixNano()
 	}
-	if snap.Counters == nil {
-		snap.Counters = map[string]uint64{}
-	}
-	if snap.Gauges == nil {
-		snap.Gauges = map[string]int64{}
-	}
-	if snap.Histograms == nil {
-		snap.Histograms = map[string]obs.HistogramSnapshot{}
-	}
-	for name, v := range info.Fleet.Counters {
-		snap.Counters[name] += v
-	}
-	for name, v := range info.Fleet.Gauges {
-		snap.Gauges[name] += v
-	}
-	for name, h := range info.Fleet.Histograms {
-		snap.Histograms[name] = obs.MergeHistogramSnapshots(snap.Histograms[name], h)
-	}
+	snap.Merge(obs.Snapshot{Counters: info.Fleet.Counters, Gauges: info.Fleet.Gauges, Histograms: info.Fleet.Histograms})
 	scraped := 0
 	for _, sh := range info.Shards {
 		if sh.Error == "" {

@@ -162,7 +162,7 @@ func TestClusterInfoPartialScrape(t *testing.T) {
 	ctx := context.Background()
 
 	// Queries scatter to both shards and succeed.
-	rows, err := coord.QueryCtx(ctx, cubetree.Query{})
+	rows, err := coord.QueryProfiledCtx(ctx, cubetree.Query{}, nil)
 	if err != nil {
 		t.Fatalf("query against mixed fleet: %v", err)
 	}

@@ -530,31 +530,22 @@ func (c *Coordinator) Domains() map[lattice.Attr]int64 {
 // Schema returns the cluster's measure schema.
 func (c *Coordinator) Schema() []lattice.Agg { return append([]lattice.Agg(nil), c.schema...) }
 
-// QueryCtx scatters one slice query to every shard and folds the partial
-// aggregates into the same rows a single-process warehouse would return.
-// When an observer is attached, the scatter is recorded as a root span with
-// one child per shard leg (addr, attempts, generation, rows, wall time,
-// straggler verdict), tagged with the trace ID carried by ctx — the
+// QueryProfiledCtx scatters one slice query to every shard and folds the
+// partial aggregates into the same rows a single-process warehouse would
+// return. When an observer is attached, the scatter is recorded as a root
+// span with one child per shard leg (addr, attempts, generation, rows, wall
+// time, straggler verdict), tagged with the trace ID carried by ctx — the
 // coordinator-side half of a stitched distributed trace.
-func (c *Coordinator) QueryCtx(ctx context.Context, q workload.Query) ([]workload.Row, error) {
-	return c.queryScatter(ctx, q, nil)
-}
-
-// QueryProfiledCtx is QueryCtx additionally filling prof: the top-level scan
-// counters are fleet-wide sums of the per-shard worker profiles, and
-// prof.Shards carries each shard's round-trip detail (attempts, latency,
-// straggler verdict) plus its worker-side breakdown. A nil prof is exactly
-// QueryCtx. A shard whose reply carries no profile has a nil Profile in its
-// ShardProfile entry, and the sums cover only the shards that reported.
+//
+// A non-nil prof is filled too: the top-level scan counters are fleet-wide
+// sums of the per-shard worker profiles, and prof.Shards carries each
+// shard's round-trip detail (attempts, latency, straggler verdict) plus its
+// worker-side breakdown. A shard whose reply carries no profile has a nil
+// Profile in its ShardProfile entry, and the sums cover only the shards that
+// reported. The per-leg bookkeeping slices (attempts, worker profiles, child
+// spans) are allocated only when a span or profile will consume them, so the
+// untraced, unprofiled path does no extra work.
 func (c *Coordinator) QueryProfiledCtx(ctx context.Context, q workload.Query, prof *workload.QueryProfile) ([]workload.Row, error) {
-	return c.queryScatter(ctx, q, prof)
-}
-
-// queryScatter is the shared scatter-gather behind QueryCtx and
-// QueryProfiledCtx. The per-leg bookkeeping slices (attempts, worker
-// profiles, child spans) are allocated only when a span or profile will
-// consume them, so the untraced, unprofiled path does no extra work.
-func (c *Coordinator) queryScatter(ctx context.Context, q workload.Query, prof *workload.QueryProfile) ([]workload.Row, error) {
 	c.qmu.RLock()
 	defer c.qmu.RUnlock()
 	start := time.Now()

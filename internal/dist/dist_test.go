@@ -176,11 +176,11 @@ func TestClusterEquivalence(t *testing.T) {
 	qs := testQueries(12)
 	ctx := context.Background()
 	for i, q := range qs {
-		want, err := cl.single.QueryCtx(ctx, q)
+		want, err := cl.single.QueryProfiledCtx(ctx, q, nil)
 		if err != nil {
 			t.Fatalf("query %d single: %v", i, err)
 		}
-		got, err := cl.coord.QueryCtx(ctx, q)
+		got, err := cl.coord.QueryProfiledCtx(ctx, q, nil)
 		if err != nil {
 			t.Fatalf("query %d dist: %v", i, err)
 		}
@@ -218,7 +218,7 @@ func TestClusterRefresh(t *testing.T) {
 	}
 	var olds, news [][]workload.Row
 	for _, q := range probes {
-		rows, err := cl.coord.QueryCtx(ctx, q)
+		rows, err := cl.coord.QueryProfiledCtx(ctx, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestClusterRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range probes {
-		rows, err := cl.single.QueryCtx(ctx, q)
+		rows, err := cl.single.QueryProfiledCtx(ctx, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestClusterRefresh(t *testing.T) {
 			racing = false
 		default:
 			for i, q := range probes {
-				rows, err := cl.coord.QueryCtx(ctx, q)
+				rows, err := cl.coord.QueryProfiledCtx(ctx, q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -266,7 +266,7 @@ func TestClusterRefresh(t *testing.T) {
 	}
 
 	for i, q := range probes {
-		rows, err := cl.coord.QueryCtx(ctx, q)
+		rows, err := cl.coord.QueryProfiledCtx(ctx, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,11 +290,11 @@ func TestClusterRefresh(t *testing.T) {
 	if err := cl.coord.Update(&distDelta2); err != nil {
 		t.Fatal(err)
 	}
-	want, err := cl.single.QueryCtx(ctx, probes[0])
+	want, err := cl.single.QueryProfiledCtx(ctx, probes[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.coord.QueryCtx(ctx, probes[0])
+	got, err := cl.coord.QueryProfiledCtx(ctx, probes[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestWorkerLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err := cl.coord.QueryCtx(context.Background(), cubetree.Query{Node: []lattice.Attr{}})
+	_, err := cl.coord.QueryProfiledCtx(context.Background(), cubetree.Query{Node: []lattice.Attr{}}, nil)
 	elapsed := time.Since(start)
 	var se *dist.ShardError
 	if !errors.As(err, &se) {
@@ -387,7 +387,7 @@ func TestConnectBackoff(t *testing.T) {
 		t.Fatalf("coordinator did not ride out connect failures: %v", err)
 	}
 	defer coord.Close()
-	rows, err := coord.QueryCtx(context.Background(), cubetree.Query{Node: []lattice.Attr{}})
+	rows, err := coord.QueryProfiledCtx(context.Background(), cubetree.Query{Node: []lattice.Attr{}}, nil)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("query after backoff = %v, %v", rows, err)
 	}

@@ -126,7 +126,7 @@ func TestTraceIDEndToEndAcrossCluster(t *testing.T) {
 		Node:  []cubetree.Attr{"partkey", "suppkey"},
 		Fixed: []cubetree.Pred{{Attr: "suppkey", Value: 5}},
 	}
-	if _, err := cl.coord.QueryCtx(ctx, q); err != nil {
+	if _, err := cl.coord.QueryProfiledCtx(ctx, q, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,7 +258,7 @@ func TestClusterInfoScrape(t *testing.T) {
 	ctx := context.Background()
 	// Drive some traffic so worker counters are nonzero.
 	for i := 0; i < 3; i++ {
-		if _, err := cl.coord.QueryCtx(ctx, cubetree.Query{Node: []cubetree.Attr{"custkey"}}); err != nil {
+		if _, err := cl.coord.QueryProfiledCtx(ctx, cubetree.Query{Node: []cubetree.Attr{"custkey"}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

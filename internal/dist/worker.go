@@ -30,10 +30,8 @@ type Pending interface {
 // in a small adapter (see cmd/cubetreed) rather than importing the root
 // package here.
 type Backend interface {
-	QueryCtx(ctx context.Context, q workload.Query) ([]workload.Row, error)
-	// QueryProfiledCtx is QueryCtx additionally filling prof with the
-	// shard-local EXPLAIN-ANALYZE breakdown; a nil prof must behave exactly
-	// like QueryCtx.
+	// QueryProfiledCtx answers one query under ctx, filling a non-nil prof
+	// with the shard-local EXPLAIN-ANALYZE breakdown.
 	QueryProfiledCtx(ctx context.Context, q workload.Query, prof *workload.QueryProfile) ([]workload.Row, error)
 	QueryBatchCtx(ctx context.Context, qs []workload.Query, parallelism int) ([][]workload.Row, error)
 	Generation() int
@@ -255,13 +253,10 @@ func (w *Worker) dispatch(f Frame, s *connScratch) ([]byte, error) {
 		// it and /debug/traces here can be filtered to the same request.
 		ctx := obs.WithTraceID(context.Background(), traceID)
 		var prof *workload.QueryProfile
-		var rows []workload.Row
 		if profile {
 			prof = &workload.QueryProfile{TraceID: traceID}
-			rows, err = w.backend.QueryProfiledCtx(ctx, q, prof)
-		} else {
-			rows, err = w.backend.QueryCtx(ctx, q)
 		}
+		rows, err := w.backend.QueryProfiledCtx(ctx, q, prof)
 		if err != nil {
 			return nil, err
 		}

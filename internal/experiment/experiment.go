@@ -322,7 +322,7 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-// queryEngines runs the same query batch against both engines, checking
+// runBatch runs the same query batch against both engines, checking
 // that the answers agree, and returns per-engine wall and modelled times.
 func (s *Setup) runBatch(node []lattice.Attr, n int, genSeed uint64) (batchResult, error) {
 	gen := workload.NewGenerator(genSeed, s.Dataset.Domains())

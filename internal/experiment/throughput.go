@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -82,13 +83,21 @@ func (s *Setup) RunThroughput(clients []int) (Throughput, error) {
 	}
 	out.Queries = len(queries)
 
+	conv := func(_ context.Context, q workload.Query) ([]workload.Row, error) { return s.Conv.Execute(q) }
+	cube := func(ctx context.Context, q workload.Query) ([]workload.Row, error) {
+		return s.Forest.ExecuteProfiledCtx(ctx, q, nil)
+	}
+	batch := func(exec func(context.Context, workload.Query) ([]workload.Row, error), clients int) ([][]workload.Row, error) {
+		return workload.ExecuteBatch(context.Background(), exec, queries, clients, s.Params.Obs)
+	}
+
 	// Serial reference answers; also warms both pools the same way every
 	// sweep row's predecessor does.
-	refConv, err := s.Conv.ExecuteBatch(queries, 1)
+	refConv, err := batch(conv, 1)
 	if err != nil {
 		return out, fmt.Errorf("throughput reference (conventional): %w", err)
 	}
-	refCube, err := s.Forest.ExecuteBatch(queries, 1)
+	refCube, err := batch(cube, 1)
 	if err != nil {
 		return out, fmt.Errorf("throughput reference (cubetree): %w", err)
 	}
@@ -98,55 +107,42 @@ func (s *Setup) RunThroughput(clients []int) (Throughput, error) {
 		}
 	}
 
-	for _, c := range clients {
-		row := ThroughputRow{Clients: c}
-
-		convMark := s.convStats.Snapshot()
+	// sweep measures one engine at c clients: q/s over at least MinMeasure,
+	// the I/O of exactly one batch (page counts are deterministic per batch,
+	// so repetitions would just scale them), and agreement with the serial
+	// answers.
+	sweep := func(name string, exec func(context.Context, workload.Query) ([]workload.Row, error), stats *pager.Stats, ref [][]workload.Row, c int) (float64, pager.StatsSnapshot, error) {
+		mark := stats.Snapshot()
 		start := time.Now()
-		got, err := s.Conv.ExecuteBatch(queries, c)
+		got, err := batch(exec, c)
 		if err != nil {
-			return out, fmt.Errorf("conventional @%d clients: %w", c, err)
+			return 0, pager.StatsSnapshot{}, fmt.Errorf("%s @%d clients: %w", name, c, err)
 		}
-		// The I/O snapshot covers exactly one batch — page counts are
-		// deterministic per batch, so repetitions would just scale them.
-		row.ConvIO = s.convStats.Snapshot().Sub(convMark)
-		row.ConvHitRatio = hitRatio(row.ConvIO)
+		io := stats.Snapshot().Sub(mark)
 		reps := 1
 		for time.Since(start) < s.Params.MinMeasure {
-			if _, err := s.Conv.ExecuteBatch(queries, c); err != nil {
-				return out, fmt.Errorf("conventional @%d clients: %w", c, err)
+			if _, err := batch(exec, c); err != nil {
+				return 0, io, fmt.Errorf("%s @%d clients: %w", name, c, err)
 			}
 			reps++
 		}
-		row.ConvQPS = throughput(reps*len(queries), time.Since(start))
+		qps := throughput(reps*len(queries), time.Since(start))
 		for i := range queries {
-			if !workload.EqualRows(got[i], refConv[i]) {
-				return out, fmt.Errorf("conventional @%d clients: %s differs from serial answer", c, queries[i])
+			if !workload.EqualRows(got[i], ref[i]) {
+				return 0, io, fmt.Errorf("%s @%d clients: %s differs from serial answer", name, c, queries[i])
 			}
 		}
-
-		cubeMark := s.cubeStats.Snapshot()
-		start = time.Now()
-		got, err = s.Forest.ExecuteBatch(queries, c)
-		if err != nil {
-			return out, fmt.Errorf("cubetree @%d clients: %w", c, err)
+		return qps, io, nil
+	}
+	for _, c := range clients {
+		row := ThroughputRow{Clients: c}
+		if row.ConvQPS, row.ConvIO, err = sweep("conventional", conv, s.convStats, refConv, c); err != nil {
+			return out, err
 		}
-		row.CubeIO = s.cubeStats.Snapshot().Sub(cubeMark)
-		row.CubeHitRatio = hitRatio(row.CubeIO)
-		reps = 1
-		for time.Since(start) < s.Params.MinMeasure {
-			if _, err := s.Forest.ExecuteBatch(queries, c); err != nil {
-				return out, fmt.Errorf("cubetree @%d clients: %w", c, err)
-			}
-			reps++
+		if row.CubeQPS, row.CubeIO, err = sweep("cubetree", cube, s.cubeStats, refCube, c); err != nil {
+			return out, err
 		}
-		row.CubeQPS = throughput(reps*len(queries), time.Since(start))
-		for i := range queries {
-			if !workload.EqualRows(got[i], refCube[i]) {
-				return out, fmt.Errorf("cubetree @%d clients: %s differs from serial answer", c, queries[i])
-			}
-		}
-
+		row.ConvHitRatio, row.CubeHitRatio = hitRatio(row.ConvIO), hitRatio(row.CubeIO)
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil

@@ -290,6 +290,32 @@ func TestMergeHistogramSnapshotsDisjoint(t *testing.T) {
 	}
 }
 
+// TestSnapshotMerge pins the fleet rollup: counters and gauges add,
+// histograms merge, labelled families are left alone, and a zero receiver
+// gets its maps created.
+func TestSnapshotMerge(t *testing.T) {
+	var h Histogram
+	h.Observe(100)
+	shard := Snapshot{
+		Counters:    map[string]uint64{"query_total": 3},
+		Gauges:      map[string]int64{"pool_resident_frames": 5},
+		Histograms:  map[string]HistogramSnapshot{"query_latency_ns": h.Snapshot()},
+		CounterVecs: map[string]FamilySnapshot{"shed": {}},
+	}
+	var fleet Snapshot
+	fleet.Merge(shard)
+	fleet.Merge(shard)
+	if fleet.Counters["query_total"] != 6 || fleet.Gauges["pool_resident_frames"] != 10 {
+		t.Fatalf("counters %v gauges %v, want sums", fleet.Counters, fleet.Gauges)
+	}
+	if got := fleet.Histograms["query_latency_ns"].Count; got != 2 {
+		t.Fatalf("merged histogram count = %d, want 2", got)
+	}
+	if fleet.CounterVecs != nil {
+		t.Fatalf("labelled families merged: %v", fleet.CounterVecs)
+	}
+}
+
 func TestDeltaHistogramSnapshot(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 50; i++ {

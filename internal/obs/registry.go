@@ -247,6 +247,35 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
+// Merge folds o into s as if both had been counted by one registry:
+// counters and gauges add, and histograms merge bucket by bucket
+// (MergeHistogramSnapshots). It is the fleet rollup: counters are monotone
+// event counts and the gauges of interest (pool frames, inflight, points)
+// are extensive quantities, so the sum reads as "the whole fleet did this
+// much". Labelled families, IO and TakenUnixNS are left as they are — a
+// labelled family has no meaningful cross-process sum. Nil maps in s are
+// created as needed.
+func (s *Snapshot) Merge(o Snapshot) {
+	if s.Counters == nil {
+		s.Counters = make(map[string]uint64, len(o.Counters))
+	}
+	if s.Gauges == nil {
+		s.Gauges = make(map[string]int64, len(o.Gauges))
+	}
+	if s.Histograms == nil {
+		s.Histograms = make(map[string]HistogramSnapshot, len(o.Histograms))
+	}
+	for name, v := range o.Counters {
+		s.Counters[name] += v
+	}
+	for name, v := range o.Gauges {
+		s.Gauges[name] += v
+	}
+	for name, h := range o.Histograms {
+		s.Histograms[name] = MergeHistogramSnapshots(s.Histograms[name], h)
+	}
+}
+
 // Names returns every registered metric name, sorted, for tests and docs.
 func (r *Registry) Names() []string {
 	if r == nil {

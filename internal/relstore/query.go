@@ -12,8 +12,9 @@ import (
 	"cubetree/internal/workload"
 )
 
-// Execute answers a slice query against the conventional configuration,
-// implementing workload.Engine.
+// Execute answers a slice query against the conventional configuration. A
+// Config's views, indexes, and heap files are read-only after Build/Open, so
+// concurrent Executes contend only inside the sharded buffer pool.
 //
 // Planning mirrors the paper's Section 3.3 calibration: every materialized
 // view covering the query's node is considered, with either a full table
@@ -321,15 +322,3 @@ func (c *Config) executeIndex(mv *MatView, ix *Index, prefixLen int, rangeExt bo
 	}
 	return agg.Rows(), scanned, nil
 }
-
-// ExecuteBatch answers qs with up to parallelism concurrent workers. A
-// Config's views, indexes, and heap files are read-only after Build/Open,
-// so concurrent Executes contend only inside the sharded buffer pool.
-func (c *Config) ExecuteBatch(qs []workload.Query, parallelism int) ([][]workload.Row, error) {
-	if c.obs != nil {
-		return workload.ExecuteBatchObserved(c, qs, parallelism, c.obs.Inflight, c.obs.Batches)
-	}
-	return workload.ExecuteBatch(c, qs, parallelism)
-}
-
-var _ workload.Engine = (*Config)(nil)

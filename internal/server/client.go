@@ -15,24 +15,23 @@ import (
 	"cubetree/internal/workload"
 )
 
-// Client is a retrying HTTP client for cubetreed. Shed responses (429 and
-// 503) are retried with backoff, honoring the server's Retry-After when it
-// is shorter than the next backoff step — the server's estimate of when
-// capacity returns is better than a blind schedule. 4xx client errors are
-// never retried; they would fail identically forever.
+// Client is cubetreed's HTTP query client. Shed responses (429 and 503) and
+// transport errors are retried up to clientRetries times with doubling
+// backoff, honoring the server's Retry-After when it is shorter than the next
+// backoff step — the server's estimate of when capacity returns is better
+// than a blind schedule. Other errors are never retried; they would fail
+// identically forever.
 type Client struct {
 	// Base is the server root, e.g. "http://localhost:8347".
 	Base string
-	// HTTPClient defaults to http.DefaultClient.
-	HTTPClient *http.Client
-	// MaxRetries bounds retry attempts after the first try (default 4).
-	MaxRetries int
-	// Backoff is the initial retry delay, doubled each attempt
-	// (default 100ms).
-	Backoff time.Duration
-	// OnRetry, when set, observes each retry (attempt is 1-based).
-	OnRetry func(attempt int, status int, wait time.Duration)
+	// backoff replaces clientBackoff as the first retry delay when set.
+	backoff time.Duration
 }
+
+const (
+	clientRetries = 4
+	clientBackoff = 100 * time.Millisecond
+)
 
 // APIError is a structured error response from the server.
 type APIError struct {
@@ -46,54 +45,11 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("server: %d %s: %s", e.Status, e.Code, e.Message)
 }
 
-func (c *Client) retries() int {
-	if c.MaxRetries < 0 {
-		return 0
-	}
-	if c.MaxRetries == 0 {
-		return 4
-	}
-	return c.MaxRetries
-}
-
-func (c *Client) backoff() time.Duration {
-	if c.Backoff <= 0 {
-		return 100 * time.Millisecond
-	}
-	return c.Backoff
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
-
-// Query executes one sqlish statement and returns its result.
-func (c *Client) Query(ctx context.Context, sql string) (*StatementResult, error) {
-	resp, err := c.QueryBatch(ctx, []string{sql})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != 1 {
-		return nil, fmt.Errorf("server: expected 1 result, got %d", len(resp.Results))
-	}
-	return &resp.Results[0], nil
-}
-
-// QueryBatch executes statements as one request and returns the full
-// response envelope (results in statement order, plus the generation they
-// came from).
-func (c *Client) QueryBatch(ctx context.Context, sqls []string) (*QueryResponse, error) {
-	return c.QueryWith(ctx, sqls, QueryOpts{})
-}
-
-// QueryOpts are per-request options for QueryWith.
+// QueryOpts are per-request options for Query.
 type QueryOpts struct {
 	// Profile asks the server for an EXPLAIN-ANALYZE-style execution
-	// profile per statement (leaf pages read/skipped, points scanned,
-	// pool deltas, cache disposition, per-shard detail on a coordinator).
+	// profile (leaf pages read/skipped, points scanned, pool deltas, cache
+	// disposition, per-shard detail on a coordinator).
 	Profile bool
 	// TraceID sets the outbound X-Trace-Id header so this request joins
 	// an existing trace; empty lets the server mint one. The server's
@@ -101,109 +57,54 @@ type QueryOpts struct {
 	TraceID string
 }
 
-// QueryWith executes statements as one request with per-request options.
-func (c *Client) QueryWith(ctx context.Context, sqls []string, opts QueryOpts) (*QueryResponse, error) {
-	body, err := json.Marshal(QueryRequest{Batch: sqls, Profile: opts.Profile})
+// Query executes one sqlish statement and returns the response envelope:
+// its one result, the generation it came from, and the request's trace ID.
+// The trace ID rides along on every attempt, so retries of one logical
+// request share one trace.
+func (c *Client) Query(ctx context.Context, sql string, opts QueryOpts) (*QueryResponse, error) {
+	body, err := json.Marshal(QueryRequest{SQL: sql, Profile: opts.Profile})
 	if err != nil {
 		return nil, err
 	}
-	raw, err := c.do(ctx, http.MethodPost, "/query", "application/json", body, opts.TraceID)
-	if err != nil {
-		return nil, err
+	wait := c.backoff
+	if wait <= 0 {
+		wait = clientBackoff
 	}
-	var resp QueryResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return nil, fmt.Errorf("server: bad response body: %v", err)
-	}
-	if len(resp.Results) != len(sqls) {
-		return nil, fmt.Errorf("server: expected %d results, got %d", len(sqls), len(resp.Results))
-	}
-	return &resp, nil
-}
-
-// Views fetches the warehouse description.
-func (c *Client) Views(ctx context.Context) (*ViewsResponse, error) {
-	raw, err := c.do(ctx, http.MethodGet, "/views", "", nil, "")
-	if err != nil {
-		return nil, err
-	}
-	var resp ViewsResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return nil, fmt.Errorf("server: bad response body: %v", err)
-	}
-	return &resp, nil
-}
-
-// Refresh streams a CSV delta to /admin/refresh. Refreshes are not retried:
-// the request body is consumed and a conflict (another refresh running) is
-// a caller decision, not a transient fault.
-func (c *Client) Refresh(ctx context.Context, csv io.Reader, measure string) (*RefreshResponse, error) {
-	url := c.Base + "/admin/refresh"
-	if measure != "" {
-		url += "?measure=" + measure
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, csv)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "text/csv")
-	res, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := readResponse(res)
-	if err != nil {
-		return nil, err
-	}
-	var resp RefreshResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return nil, fmt.Errorf("server: bad response body: %v", err)
-	}
-	return &resp, nil
-}
-
-// do issues one request with retries on shed responses and transport
-// errors. A non-empty traceID rides along as X-Trace-Id on every attempt,
-// so retries of one logical request share one trace.
-func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, traceID string) ([]byte, error) {
-	var lastErr error
-	wait := c.backoff()
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, method, c.Base+path, bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/query", bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
+		req.Header.Set("Content-Type", "application/json")
+		if opts.TraceID != "" {
+			req.Header.Set("X-Trace-Id", opts.TraceID)
 		}
-		if traceID != "" {
-			req.Header.Set("X-Trace-Id", traceID)
-		}
-		res, err := c.httpClient().Do(req)
-		var status int
 		var retryAfter time.Duration
-		if err != nil {
-			lastErr = err // transport error: server restarting, listener draining
-		} else {
-			raw, rerr := readResponse(res)
-			var apiErr *APIError
-			if rerr == nil {
-				return raw, nil
+		res, err := http.DefaultClient.Do(req)
+		if err == nil { // else a transport error: server restarting, listener draining
+			var raw []byte
+			if raw, err = readResponse(res); err == nil {
+				var resp QueryResponse
+				if err := json.Unmarshal(raw, &resp); err != nil {
+					return nil, fmt.Errorf("server: bad response body: %v", err)
+				}
+				if len(resp.Results) != 1 {
+					return nil, fmt.Errorf("server: expected 1 result, got %d", len(resp.Results))
+				}
+				return &resp, nil
 			}
-			if !asAPIError(rerr, &apiErr) || !retryable(apiErr.Status) {
-				return nil, rerr
+			apiErr, ok := err.(*APIError)
+			if !ok || !retryable(apiErr.Status) {
+				return nil, err
 			}
-			lastErr, status, retryAfter = rerr, apiErr.Status, apiErr.RetryAfter
+			retryAfter = apiErr.RetryAfter
 		}
-		if attempt >= c.retries() {
-			return nil, lastErr
+		if attempt >= clientRetries {
+			return nil, err
 		}
 		sleep := wait
 		if retryAfter > 0 && retryAfter < sleep {
 			sleep = retryAfter
-		}
-		if c.OnRetry != nil {
-			c.OnRetry(attempt+1, status, sleep)
 		}
 		select {
 		case <-time.After(sleep):
@@ -216,14 +117,6 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 
 func retryable(status int) bool {
 	return status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
-}
-
-func asAPIError(err error, out **APIError) bool {
-	if e, ok := err.(*APIError); ok {
-		*out = e
-		return true
-	}
-	return false
 }
 
 // readResponse drains one response, turning non-2xx statuses into *APIError

@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cubetree"
+	"cubetree/internal/workload"
 )
 
 // profileWarehouse builds a warehouse whose views span many leaf pages, so a
@@ -178,19 +180,20 @@ func TestUnprofiledResponseStaysBare(t *testing.T) {
 	}
 }
 
-// TestProfileOnPlainStore: a Store that does not implement ProfiledStore
-// (an older or remote backend) still answers profile:true requests — the
-// flag degrades to a normal query with no profile attached.
+// TestProfileOnPlainStore: a Store whose engine fills in no scan detail
+// still answers profile:true requests with the parts the server owns — the
+// cache disposition and the request's trace id — and zero scan counters.
 func TestProfileOnPlainStore(t *testing.T) {
 	_, ts := newTestServer(t, &fakeStore{}, Config{})
 	resp, _ := postJSON(t, ts.URL, `{"sql": "SELECT sum(q) FROM facts", "profile": true}`, "")
 	if len(resp.Results) != 1 || len(resp.Results[0].Rows) != 1 {
 		t.Fatalf("resp = %+v", resp)
 	}
-	if resp.Results[0].Profile != nil {
-		t.Fatalf("plain store produced a profile: %+v", resp.Results[0].Profile)
-	}
 	if resp.TraceID == "" {
 		t.Fatal("profiled request should still get a trace id for correlation")
+	}
+	want := &workload.QueryProfile{Cache: "miss", TraceID: resp.TraceID}
+	if got := resp.Results[0].Profile; got == nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("plain store profile = %+v, want %+v", got, want)
 	}
 }

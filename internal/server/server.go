@@ -36,25 +36,19 @@ import (
 	"cubetree/internal/workload"
 )
 
-// Store is the warehouse surface the server needs; *cubetree.Warehouse
-// implements it. Tests substitute fakes with controllable latency.
+// Store is the warehouse surface the server needs; *cubetree.Warehouse and
+// *dist.Coordinator implement it. Tests substitute fakes with controllable
+// latency.
 type Store interface {
-	QueryCtx(ctx context.Context, q workload.Query) ([]workload.Row, error)
+	// QueryProfiledCtx answers one query under ctx, filling a non-nil prof
+	// with an EXPLAIN-ANALYZE-style execution profile.
+	QueryProfiledCtx(ctx context.Context, q workload.Query, prof *workload.QueryProfile) ([]workload.Row, error)
 	QueryBatchCtx(ctx context.Context, qs []workload.Query, parallelism int) ([][]workload.Row, error)
 	Generation() int
 	Views() []lattice.View
 	Domains() map[lattice.Attr]int64
 	Schema() []lattice.Agg
 	Update(rows cube.RowIter) error
-}
-
-// ProfiledStore is the optional Store extension that can fill an
-// EXPLAIN-ANALYZE-style execution profile. *cubetree.Warehouse and
-// *dist.Coordinator both implement it; a Store that does not (such as a
-// test fake) still works — profiled requests just answer without the
-// breakdown.
-type ProfiledStore interface {
-	QueryProfiledCtx(ctx context.Context, q workload.Query, prof *workload.QueryProfile) ([]workload.Row, error)
 }
 
 // HealthStatus is /healthz's body. The endpoint always answers 200 — it is
@@ -437,14 +431,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // cache first. Cache keys carry the generation read before execution; a
 // refresh landing mid-request flips the generation, in which case results
 // are returned but not cached (each individual answer is still exactly one
-// generation's, the library QueryBatch guarantee).
+// generation's, the library QueryBatchCtx guarantee).
 //
-// When profile is set and the store implements ProfiledStore, cache misses
-// execute one at a time through QueryProfiledCtx — a profile describes one
-// statement's scan, so profiled requests trade batch parallelism for the
-// breakdown — and the results are not cached (a cached answer's profile
-// would describe a scan that never happened for the next caller). Cache
-// hits under profiling report disposition "hit" with zero scan counters.
+// When profile is set, cache misses execute one at a time — a profile
+// describes one statement's scan, so profiled requests trade batch
+// parallelism for the breakdown — and the results are not cached (a cached
+// answer's profile would describe a scan that never happened for the next
+// caller). Cache hits under profiling report disposition "hit" with zero
+// scan counters.
 func (s *Server) executeStatements(ctx context.Context, stmts []*sqlish.Statement, keys []string, profile bool, tid string) (*QueryResponse, error) {
 	gen := s.store.Generation()
 	schema := lattice.Schema(s.store.Schema())
@@ -468,31 +462,26 @@ func (s *Server) executeStatements(ctx context.Context, stmts []*sqlish.Statemen
 		return resp, nil
 	}
 
-	ps, canProfile := s.store.(ProfiledStore)
-	profiled := profile && canProfile
-
 	var rowSets [][]workload.Row
 	var profs []*workload.QueryProfile
-	switch {
-	case profiled:
+	if profile || len(missIdx) == 1 {
 		rowSets = make([][]workload.Row, len(missIdx))
-		profs = make([]*workload.QueryProfile, len(missIdx))
+		if profile {
+			profs = make([]*workload.QueryProfile, len(missIdx))
+		}
 		for j, i := range missIdx {
-			prof := &workload.QueryProfile{TraceID: tid, Cache: "miss"}
-			rows, err := ps.QueryProfiledCtx(ctx, stmts[i].Query, prof)
+			var prof *workload.QueryProfile
+			if profile {
+				prof = &workload.QueryProfile{TraceID: tid, Cache: "miss"}
+				profs[j] = prof
+			}
+			rows, err := s.store.QueryProfiledCtx(ctx, stmts[i].Query, prof)
 			if err != nil {
 				return nil, err
 			}
 			rowSets[j] = rows
-			profs[j] = prof
 		}
-	case len(missIdx) == 1:
-		rows, err := s.store.QueryCtx(ctx, stmts[missIdx[0]].Query)
-		if err != nil {
-			return nil, err
-		}
-		rowSets = [][]workload.Row{rows}
-	default:
+	} else {
 		qs := make([]workload.Query, len(missIdx))
 		for j, i := range missIdx {
 			qs[j] = stmts[i].Query
@@ -504,7 +493,7 @@ func (s *Server) executeStatements(ctx context.Context, stmts []*sqlish.Statemen
 		}
 	}
 
-	cacheable := !profiled && s.store.Generation() == gen
+	cacheable := !profile && s.store.Generation() == gen
 	for j, i := range missIdx {
 		headers, rows, err := stmts[i].Format(rowSets[j], schema)
 		if err != nil {

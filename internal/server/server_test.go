@@ -21,7 +21,7 @@ import (
 // a chosen error, or panic, so admission, timeout, shed, and recovery paths
 // can be driven deterministically without a real warehouse.
 type fakeStore struct {
-	block    chan struct{} // non-nil: QueryCtx waits for close(block) or ctx
+	block    chan struct{} // non-nil: queries wait for close(block) or ctx
 	err      error
 	panicOn  bool
 	gen      atomic.Int64
@@ -30,7 +30,9 @@ type fakeStore struct {
 	queries  atomic.Int64
 }
 
-func (f *fakeStore) QueryCtx(ctx context.Context, q workload.Query) ([]workload.Row, error) {
+// QueryProfiledCtx answers without filling prof, like a store whose engine
+// reports no scan detail.
+func (f *fakeStore) QueryProfiledCtx(ctx context.Context, q workload.Query, _ *workload.QueryProfile) ([]workload.Row, error) {
 	f.queries.Add(1)
 	if f.panicOn {
 		panic("fake store exploded")
@@ -51,7 +53,7 @@ func (f *fakeStore) QueryCtx(ctx context.Context, q workload.Query) ([]workload.
 func (f *fakeStore) QueryBatchCtx(ctx context.Context, qs []workload.Query, _ int) ([][]workload.Row, error) {
 	out := make([][]workload.Row, len(qs))
 	for i, q := range qs {
-		rows, err := f.QueryCtx(ctx, q)
+		rows, err := f.QueryProfiledCtx(ctx, q, nil)
 		if err != nil {
 			return nil, err
 		}

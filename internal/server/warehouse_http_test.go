@@ -210,6 +210,7 @@ func TestHTTPOldOrNewDuringRefresh(t *testing.T) {
 	}
 }
 
+// TestClientRetriesShedResponses: a 429 is retried until the server answers.
 func TestClientRetriesShedResponses(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -221,32 +222,19 @@ func TestClientRetriesShedResponses(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	var retries []time.Duration
-	c := &Client{
-		Base:    ts.URL,
-		Backoff: 5 * time.Millisecond,
-		OnRetry: func(_, status int, wait time.Duration) {
-			if status != http.StatusTooManyRequests {
-				t.Errorf("retry status = %d, want 429", status)
-			}
-			retries = append(retries, wait)
-		},
-	}
-	res, err := c.Query(context.Background(), "SELECT sum(q) FROM f")
+	resp, err := (&Client{Base: ts.URL}).Query(context.Background(), "SELECT sum(q) FROM f", QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0] != "30" {
-		t.Fatalf("rows = %+v", res.Rows)
-	}
-	if len(retries) != 2 {
-		t.Fatalf("retries = %d, want 2", len(retries))
+	if rows := resp.Results[0].Rows; rows[0][0] != "30" {
+		t.Fatalf("rows = %+v", rows)
 	}
 	if calls.Load() != 3 {
-		t.Fatalf("server saw %d calls, want 3", calls.Load())
+		t.Fatalf("server saw %d calls, want 3 (two shed, one answered)", calls.Load())
 	}
 }
 
+// TestClientDoesNotRetryClientErrors: a 400 would fail identically forever.
 func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -254,8 +242,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 		writeError(w, http.StatusBadRequest, CodeBadSQL, "nope", 0)
 	}))
 	defer ts.Close()
-	c := &Client{Base: ts.URL, Backoff: time.Millisecond}
-	_, err := c.Query(context.Background(), "SELEC")
+	_, err := (&Client{Base: ts.URL}).Query(context.Background(), "SELEC", QueryOpts{})
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -268,24 +255,27 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	}
 }
 
+// TestClientHonorsRetryAfterFromBody: the structured body's Retry-After beats
+// a longer backoff step. With a one-minute backoff the request can only
+// finish inside its deadline if the retry waited the server's 20ms.
 func TestClientHonorsRetryAfterFromBody(t *testing.T) {
+	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusServiceUnavailable, CodePoolExhausted, "pool", 200*time.Millisecond)
+		if calls.Add(1) == 1 {
+			writeError(w, http.StatusServiceUnavailable, CodePoolExhausted, "pool", 20*time.Millisecond)
+			return
+		}
+		writeJSON(w, QueryResponse{Generation: 1, Results: []StatementResult{{Headers: []string{"sum(q)"}, Rows: [][]string{{"30"}}}}})
 	}))
 	defer ts.Close()
-	var waits []time.Duration
-	c := &Client{
-		Base:       ts.URL,
-		Backoff:    time.Second, // backoff longer than Retry-After: server's hint must win
-		MaxRetries: 1,
-		OnRetry:    func(_, _ int, wait time.Duration) { waits = append(waits, wait) },
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c := &Client{Base: ts.URL, backoff: time.Minute}
+	if _, err := c.Query(ctx, "SELECT sum(q) FROM f", QueryOpts{}); err != nil {
+		t.Fatalf("query = %v; the retry waited the backoff, not the body's Retry-After", err)
 	}
-	_, err := c.Query(context.Background(), "SELECT sum(q) FROM f")
-	if err == nil {
-		t.Fatal("want terminal 503")
-	}
-	if len(waits) != 1 || waits[0] != 200*time.Millisecond {
-		t.Fatalf("waits = %v, want [200ms] from the structured body", waits)
+	if calls.Load() != 2 {
+		t.Fatalf("server saw %d calls, want 2", calls.Load())
 	}
 }
 
@@ -300,10 +290,11 @@ func TestSQLForRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&Client{Base: ts.URL}).Query(context.Background(), SQLFor(q))
+	resp, err := (&Client{Base: ts.URL}).Query(context.Background(), SQLFor(q), QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := &resp.Results[0]
 	if len(res.Rows) != len(direct) {
 		t.Fatalf("HTTP rows = %d, direct rows = %d", len(res.Rows), len(direct))
 	}

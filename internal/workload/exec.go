@@ -7,80 +7,55 @@ import (
 	"cubetree/internal/obs"
 )
 
-// EngineCtx is implemented by engines whose execution honours cancellation:
-// once ctx is done, a running query stops scanning and returns the context's
-// error. ExecuteBatchCtx uses it when available; engines without it are
-// still batched, but individual queries run to completion.
-type EngineCtx interface {
-	Engine
-	ExecuteCtx(ctx context.Context, q Query) ([]Row, error)
-}
-
-// ExecuteBatch runs qs against e with up to parallelism concurrent workers
-// and returns one result slice per query, in query order. parallelism < 1
-// or a single-query batch degenerates to the serial loop, so serial and
-// parallel execution share one code path and must agree by construction.
+// ExecuteBatch runs qs through exec with up to parallelism concurrent
+// workers and returns one result slice per query, in query order.
+// parallelism < 1 or a single-query batch degenerates to the serial loop, so
+// serial and parallel execution share one code path and must agree by
+// construction. exec must be safe for concurrent calls; every engine is
+// (its state is read-only pages behind the sharded buffer pool).
 //
-// The engine must be safe for concurrent Execute calls; both storage
-// configurations are (their state is read-only pages behind the sharded
-// buffer pool). The first error wins and is returned after all in-flight
-// queries finish; results of failed or unstarted queries are nil.
-func ExecuteBatch(e Engine, qs []Query, parallelism int) ([][]Row, error) {
-	return executeBatch(context.Background(), e, qs, parallelism, nil)
-}
-
-// ExecuteBatchCtx is ExecuteBatch under a context: queries not yet started
-// when ctx is done are never dispatched, and engines implementing EngineCtx
-// abandon in-flight scans. The context's error is returned (taking
-// precedence over individual query errors, which at that point are
-// cancellations themselves).
-func ExecuteBatchCtx(ctx context.Context, e Engine, qs []Query, parallelism int) ([][]Row, error) {
-	return executeBatch(ctx, e, qs, parallelism, nil)
-}
-
-// ExecuteBatchObserved is ExecuteBatch with batch-level metrics: batches
-// counts completed calls and inflight tracks the queries currently executing
-// (so a debug snapshot taken mid-batch shows live concurrency). Both sinks
-// are nil-safe, so callers may pass whatever subset they have.
-func ExecuteBatchObserved(e Engine, qs []Query, parallelism int, inflight *obs.Gauge, batches *obs.Counter) ([][]Row, error) {
-	batches.Inc()
-	return executeBatch(context.Background(), e, qs, parallelism, inflight)
-}
-
-// ExecuteBatchObservedCtx combines ExecuteBatchCtx and ExecuteBatchObserved.
-func ExecuteBatchObservedCtx(ctx context.Context, e Engine, qs []Query, parallelism int, inflight *obs.Gauge, batches *obs.Counter) ([][]Row, error) {
-	batches.Inc()
-	return executeBatch(ctx, e, qs, parallelism, inflight)
-}
-
-func executeBatch(ctx context.Context, e Engine, qs []Query, parallelism int, inflight *obs.Gauge) ([][]Row, error) {
+// Queries not yet started when ctx is done are never dispatched, and exec
+// receives a context it should honour so in-flight scans are abandoned. The
+// first failing query stops the batch the same way: nothing more is
+// dispatched, the queries still running are cancelled, and that query's
+// error is returned once they finish. The caller's own ctx error takes
+// precedence. Results of failed or unstarted queries are nil.
+//
+// o, when non-nil, counts the call in query_batches_total and tracks the
+// queries currently executing in query_inflight.
+func ExecuteBatch(ctx context.Context, exec func(context.Context, Query) ([]Row, error), qs []Query, parallelism int, o *obs.Observer) ([][]Row, error) {
+	var inflight *obs.Gauge
+	if o != nil {
+		o.Batches.Inc()
+		inflight = o.Inflight
+	}
 	results := make([][]Row, len(qs))
-	ec, hasCtx := e.(EngineCtx)
-	run := func(q Query) ([]Row, error) {
+	run := func(ctx context.Context, i int) error {
 		inflight.Add(1)
 		defer inflight.Add(-1)
-		if hasCtx {
-			return ec.ExecuteCtx(ctx, q)
+		rows, err := exec(ctx, qs[i])
+		if err == nil {
+			results[i] = rows
 		}
-		return e.Execute(q)
+		return err
 	}
 	if parallelism > len(qs) {
 		parallelism = len(qs)
 	}
 	if parallelism <= 1 {
-		for i, q := range qs {
+		for i := range qs {
 			if err := ctx.Err(); err != nil {
 				return results, err
 			}
-			rows, err := run(q)
-			if err != nil {
+			if err := run(ctx, i); err != nil {
 				return results, err
 			}
-			results[i] = rows
 		}
 		return results, nil
 	}
 
+	bctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
@@ -92,20 +67,22 @@ func executeBatch(ctx context.Context, e Engine, qs []Query, parallelism int, in
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				rows, err := run(qs[i])
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					continue
+				if err := run(bctx, i); err != nil {
+					errOnce.Do(func() { firstErr = err; cancel() })
 				}
-				results[i] = rows
 			}
 		}()
 	}
 dispatch:
 	for i := range qs {
+		// Checked before the select too: once bctx is done, a select with a
+		// ready worker would still pick the send half the time.
+		if bctx.Err() != nil {
+			break
+		}
 		select {
 		case next <- i:
-		case <-ctx.Done():
+		case <-bctx.Done():
 			break dispatch
 		}
 	}

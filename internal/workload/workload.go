@@ -153,11 +153,6 @@ func (r Row) Avg() float64 {
 	return float64(r.Sum) / float64(r.Count)
 }
 
-// Engine answers slice queries; both storage configurations implement it.
-type Engine interface {
-	Execute(q Query) ([]Row, error)
-}
-
 // SortRows orders rows lexicographically by Group, the canonical result
 // order used to compare engines.
 func SortRows(rows []Row) {

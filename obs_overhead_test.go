@@ -32,8 +32,10 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 	// Warm the pool so both variants run at full cache hits and the
 	// comparison isolates CPU cost, not page I/O.
-	if _, err := s.Forest.ExecuteBatch(queries, 1); err != nil {
-		b.Fatal(err)
+	for _, q := range queries {
+		if _, err := s.Forest.Execute(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 	run := func(b *testing.B) {
 		b.ReportAllocs()

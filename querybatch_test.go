@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"cubetree"
+	"cubetree/internal/core"
 	"cubetree/internal/workload"
 )
 
 // batchQueries is a mixed query set spanning several lattice nodes, used by
-// the QueryBatch tests.
+// the QueryBatchCtx tests.
 func batchQueries() []cubetree.Query {
 	return []cubetree.Query{
 		{}, // super-aggregate
@@ -37,12 +38,12 @@ func TestQueryBatchSerialParallelAgree(t *testing.T) {
 	defer w.Close()
 
 	queries := batchQueries()
-	serial, err := w.QueryBatch(queries, 1)
+	serial, err := w.QueryBatchCtx(context.Background(), queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4, 8} {
-		got, err := w.QueryBatch(queries, par)
+		got, err := w.QueryBatchCtx(context.Background(), queries, par)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -54,7 +55,7 @@ func TestQueryBatchSerialParallelAgree(t *testing.T) {
 	}
 }
 
-// TestQueryBatchOldOrNewDuringUpdate drives concurrent QueryBatch calls
+// TestQueryBatchOldOrNewDuringUpdate drives concurrent QueryBatchCtx calls
 // against a live Update and asserts every single query's answer is exactly
 // the old generation's or the new generation's — never a mix, never a torn
 // read. Run with -race.
@@ -67,7 +68,7 @@ func TestQueryBatchOldOrNewDuringUpdate(t *testing.T) {
 	defer w.Close()
 
 	queries := batchQueries()
-	oldRes, err := w.QueryBatch(queries, 1)
+	oldRes, err := w.QueryBatchCtx(context.Background(), queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestQueryBatchOldOrNewDuringUpdate(t *testing.T) {
 	var batches [][][]cubetree.Row
 loop:
 	for {
-		res, err := w.QueryBatch(queries, 4)
+		res, err := w.QueryBatchCtx(context.Background(), queries, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ loop:
 		}
 	}
 
-	newRes, err := w.QueryBatch(queries, 4)
+	newRes, err := w.QueryBatchCtx(context.Background(), queries, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,19 +133,45 @@ func TestQueryCtxCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := w.QueryCtx(ctx, cubetree.Query{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryCtx with cancelled ctx = %v, want context.Canceled", err)
+	if _, err := w.QueryProfiledCtx(ctx, cubetree.Query{}, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("QueryProfiledCtx with cancelled ctx = %v, want context.Canceled", err)
 	}
-	if _, err := w.QueryBatchCtx(ctx, batchQueries(), 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryBatchCtx with cancelled ctx = %v, want context.Canceled", err)
+	if _, err := w.QueryProfiledCtx(ctx, cubetree.Query{}, &cubetree.QueryProfile{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("profiled QueryProfiledCtx with cancelled ctx = %v, want context.Canceled", err)
 	}
-	if _, _, err := w.QuerySQLCtx(ctx, "SELECT sum(quantity) FROM facts"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QuerySQLCtx with cancelled ctx = %v, want context.Canceled", err)
+	for _, par := range []int{1, 4} {
+		if _, err := w.QueryBatchCtx(ctx, batchQueries(), par); !errors.Is(err, context.Canceled) {
+			t.Fatalf("QueryBatchCtx(parallelism %d) with cancelled ctx = %v, want context.Canceled", par, err)
+		}
 	}
 
 	// A live context still works through the same paths.
-	rows, err := w.QueryCtx(context.Background(), cubetree.Query{})
+	rows, err := w.QueryProfiledCtx(context.Background(), cubetree.Query{}, nil)
 	if err != nil || len(rows) != 1 {
-		t.Fatalf("QueryCtx = %v, %v", rows, err)
+		t.Fatalf("QueryProfiledCtx = %v, %v", rows, err)
+	}
+}
+
+// TestNoPlacementErrorIsTyped: a query no view covers fails with
+// core.ErrNoPlacement whether it is executed or only explained, so callers
+// (and the server's 400 mapping) classify it the same way on every path.
+func TestNoPlacementErrorIsTyped(t *testing.T) {
+	w, err := cubetree.Materialize(testConfig(t), testViews(), facts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	q := cubetree.Query{Node: []cubetree.Attr{"nationkey"}}
+	if _, err := w.Explain(q); !errors.Is(err, core.ErrNoPlacement) {
+		t.Errorf("Explain = %v, want core.ErrNoPlacement", err)
+	}
+	if _, err := w.ExplainSQL("SELECT nationkey, sum(quantity) FROM facts GROUP BY nationkey"); !errors.Is(err, core.ErrNoPlacement) {
+		t.Errorf("ExplainSQL = %v, want core.ErrNoPlacement", err)
+	}
+	for _, prof := range []*cubetree.QueryProfile{nil, {}} {
+		if _, err := w.QueryProfiledCtx(context.Background(), q, prof); !errors.Is(err, core.ErrNoPlacement) {
+			t.Errorf("QueryProfiledCtx(profiled=%v) = %v, want core.ErrNoPlacement", prof != nil, err)
+		}
 	}
 }

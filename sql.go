@@ -1,7 +1,6 @@
 package cubetree
 
 import (
-	"context"
 	"fmt"
 
 	"cubetree/internal/sqlish"
@@ -18,17 +17,11 @@ import (
 // Config.ExtraMeasures). It returns the column headers and the formatted
 // result rows in canonical order.
 func (w *Warehouse) QuerySQL(sql string) (headers []string, rows [][]string, err error) {
-	return w.QuerySQLCtx(context.Background(), sql)
-}
-
-// QuerySQLCtx is QuerySQL under a context; see QueryCtx for the
-// cancellation semantics.
-func (w *Warehouse) QuerySQLCtx(ctx context.Context, sql string) (headers []string, rows [][]string, err error) {
 	st, err := sqlish.Parse(sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := w.QueryCtx(ctx, st.Query)
+	res, err := w.Query(st.Query)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -438,63 +438,40 @@ func (w *Warehouse) Generation() int {
 	return w.generation
 }
 
-// Query answers a slice query from the best-placed view or replica. It is
-// safe for concurrent use, including while an Update is in progress.
+// Query answers a slice query from the best-placed view or replica; it is
+// QueryProfiledCtx without a context or a profile. It is safe for concurrent
+// use, including while an Update is in progress.
 func (w *Warehouse) Query(q Query) ([]Row, error) {
-	return w.QueryCtx(context.Background(), q)
+	return w.QueryProfiledCtx(context.Background(), q, nil)
 }
 
-// QueryCtx is Query under a context: when ctx is cancelled or past its
-// deadline, an in-flight leaf scan stops within a bounded number of points
-// and the context's error is returned. Servers use it to enforce
-// per-request timeouts that actually stop the work.
-func (w *Warehouse) QueryCtx(ctx context.Context, q Query) ([]Row, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.forest.ExecuteCtx(ctx, q)
-}
-
-// QueryProfiledCtx is QueryCtx, additionally filling prof with an
+// QueryProfiledCtx answers q under ctx: when ctx is cancelled or past its
+// deadline, an in-flight leaf scan stops within one leaf page and the
+// context's error is returned, so servers can enforce per-request timeouts
+// that actually stop the work. A non-nil prof is filled with an
 // EXPLAIN-ANALYZE-style breakdown of the execution (view routed, points
 // scanned, zone-map leaf pages skipped vs read, pool hit/miss delta, wall
-// time). A nil prof is exactly QueryCtx: the profile-off path takes the same
-// branches and allocates nothing extra.
+// time); a nil prof costs nothing.
 func (w *Warehouse) QueryProfiledCtx(ctx context.Context, q Query, prof *QueryProfile) ([]Row, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return w.forest.ExecuteProfiledCtx(ctx, q, prof)
 }
 
-// queryEngine adapts Warehouse's per-query locking to workload.Engine so
-// QueryBatch can reuse the shared worker pool.
-type queryEngine struct{ w *Warehouse }
-
-func (e queryEngine) Execute(q Query) ([]Row, error) { return e.w.Query(q) }
-
-func (e queryEngine) ExecuteCtx(ctx context.Context, q Query) ([]Row, error) {
-	return e.w.QueryCtx(ctx, q)
-}
-
-// QueryBatch answers qs with up to parallelism concurrent workers (<= 1
+// QueryBatchCtx answers qs with up to parallelism concurrent workers (<= 1
 // means serial) and returns one result slice per query, in query order.
 // Each query acquires the generation read lock independently, so a batch
 // may straddle a concurrent Update: every individual query sees exactly one
 // committed generation, but different queries of the batch may see
 // different ones — the same guarantee concurrent single Queries have.
 // Serial and parallel batches return identical results for a fixed
-// generation; the first error is returned after in-flight queries drain.
-func (w *Warehouse) QueryBatch(qs []Query, parallelism int) ([][]Row, error) {
-	return w.QueryBatchCtx(context.Background(), qs, parallelism)
-}
-
-// QueryBatchCtx is QueryBatch under a context: queries not yet started when
-// ctx is done are never dispatched, in-flight scans are abandoned, and the
-// context's error is returned.
+// generation. Queries not yet started when ctx is done or a query has failed
+// are never dispatched, in-flight scans are abandoned, and the context's or
+// the failed query's error is returned (see workload.ExecuteBatch).
 func (w *Warehouse) QueryBatchCtx(ctx context.Context, qs []Query, parallelism int) ([][]Row, error) {
-	if w.obs != nil {
-		return workload.ExecuteBatchObservedCtx(ctx, queryEngine{w}, qs, parallelism, w.obs.Inflight, w.obs.Batches)
-	}
-	return workload.ExecuteBatchCtx(ctx, queryEngine{w}, qs, parallelism)
+	return workload.ExecuteBatch(ctx, func(ctx context.Context, q Query) ([]Row, error) {
+		return w.QueryProfiledCtx(ctx, q, nil)
+	}, qs, parallelism, w.obs)
 }
 
 // Update applies an increment: the delta of every view is computed from
