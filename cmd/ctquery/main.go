@@ -60,6 +60,9 @@ func main() {
 		if st, err = sqlish.Parse(*sql); err != nil {
 			fatal(err)
 		}
+		if _, err = st.Resolve(lattice.Schema(w.Schema())); err != nil {
+			fatal(err)
+		}
 		q = st.Query
 	} else if q, err = queryFromFlags(*node, *fix); err != nil {
 		fatal(err)

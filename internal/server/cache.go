@@ -14,8 +14,10 @@ type cacheKey struct {
 	statement  string // canonical form: projection + query + limit
 }
 
-// resultCache is a mutex-guarded LRU of formatted statement results. Values
-// are stored immutable and shared; callers must not mutate what get returns.
+// resultCache is a mutex-guarded LRU of encoded statement answers: each
+// value is the JSON fragment appendResult wrote, so a hit copies bytes and
+// formats nothing. Values are immutable once put and shared; callers must
+// not mutate what get returns. Memory is bounded by entries × answer size.
 type resultCache struct {
 	mu  sync.Mutex
 	max int
@@ -24,8 +26,8 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key cacheKey
-	res *StatementResult
+	key  cacheKey
+	frag []byte
 }
 
 func newResultCache(max int) *resultCache {
@@ -35,7 +37,7 @@ func newResultCache(max int) *resultCache {
 	return &resultCache{max: max, ll: list.New(), m: map[cacheKey]*list.Element{}}
 }
 
-func (c *resultCache) get(k cacheKey) (*StatementResult, bool) {
+func (c *resultCache) get(k cacheKey) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -46,10 +48,10 @@ func (c *resultCache) get(k cacheKey) (*StatementResult, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry).frag, true
 }
 
-func (c *resultCache) put(k cacheKey, res *StatementResult) {
+func (c *resultCache) put(k cacheKey, frag []byte) {
 	if c == nil {
 		return
 	}
@@ -57,10 +59,10 @@ func (c *resultCache) put(k cacheKey, res *StatementResult) {
 	defer c.mu.Unlock()
 	if el, ok := c.m[k]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).res = res
+		el.Value.(*cacheEntry).frag = frag
 		return
 	}
-	c.m[k] = c.ll.PushFront(&cacheEntry{key: k, res: res})
+	c.m[k] = c.ll.PushFront(&cacheEntry{key: k, frag: frag})
 	for c.ll.Len() > c.max {
 		el := c.ll.Back()
 		c.ll.Remove(el)

@@ -162,6 +162,7 @@ type metrics struct {
 type Server struct {
 	cfg     Config
 	store   Store
+	schema  lattice.Schema // the store's measure schema, fixed for its life
 	gate    *gate
 	limiter *limiter
 	cache   *resultCache
@@ -188,6 +189,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		store:   cfg.Store,
+		schema:  cfg.Store.Schema(),
 		gate:    newGate(cfg.MaxInFlight, cfg.MaxQueue),
 		limiter: newLimiter(cfg.RatePerSec, cfg.RateBurst),
 		cache:   newResultCache(cfg.CacheEntries),
@@ -231,8 +233,7 @@ func New(cfg Config) *Server {
 			st.Status = "degraded"
 			st.Violations = v
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(st)
+		writeJSON(w, st)
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
 		if s.draining.Load() {
@@ -348,7 +349,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes), 0)
 		return
 	}
-	req, err := decodeQueryRequest(body)
+	req, err := decodeQueryRequest(*body)
+	putBuf(body) // the decoded request copied what it keeps
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
 		return
@@ -368,16 +370,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Trace-Id", tid)
 	}
 
-	stmts := make([]*sqlish.Statement, len(req.statements()))
-	keys := make([]string, len(stmts))
-	for i, sql := range req.statements() {
+	// Parse and resolve every statement before admission: bad SQL, a
+	// MIN/MAX the warehouse does not store included, never takes a slot.
+	stmts := make([]statement, 0, 1) // on the stack unless it is a batch
+	var kb [256]byte
+	for _, sql := range req.statements() {
 		st, err := sqlish.Parse(sql)
+		var proj sqlish.Projection
+		if err == nil {
+			proj, err = st.Resolve(s.schema)
+		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadSQL, err.Error(), 0)
 			return
 		}
-		stmts[i] = st
-		keys[i] = canonicalStatement(st)
+		stmts = append(stmts, statement{st: st, proj: proj, key: string(appendCanonical(kb[:0], st))})
 	}
 
 	// Admission: one slot per request, however many statements it carries;
@@ -415,7 +422,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ctx = obs.WithTraceID(ctx, tid)
 
-	resp, err := s.executeStatements(ctx, stmts, keys, req.Profile, tid)
+	buf := getBuf()
+	defer putBuf(buf)
+	b, err := s.answer(ctx, *buf, stmts, req.Profile, tid)
 	if err != nil {
 		status, code, retry := s.mapQueryError(ctx, err)
 		if status == 0 {
@@ -424,14 +433,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, err.Error(), retry)
 		return
 	}
-	writeJSON(w, resp)
+	*buf = b
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(b)
 }
 
-// executeStatements answers each parsed statement, consulting the result
-// cache first. Cache keys carry the generation read before execution; a
-// refresh landing mid-request flips the generation, in which case results
-// are returned but not cached (each individual answer is still exactly one
-// generation's, the library QueryBatchCtx guarantee).
+// statement is one statement of a /query request: parsed, resolved and keyed
+// before admission, then answered from the cache (frag) or the engine.
+type statement struct {
+	st   *sqlish.Statement
+	proj sqlish.Projection
+	key  string // canonical form; see appendCanonical
+	frag []byte
+	rows []workload.Row
+	prof *workload.QueryProfile
+}
+
+// answer answers each statement, consulting the result cache first, and
+// appends the QueryResponse body to b. Cache keys carry the generation read
+// before execution; a refresh landing mid-request flips the generation, in
+// which case results are returned but not cached (each individual answer is
+// still exactly one generation's, the library QueryBatchCtx guarantee).
 //
 // When profile is set, cache misses execute one at a time — a profile
 // describes one statement's scan, so profiled requests trade batch
@@ -439,79 +461,79 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // answer's profile would describe a scan that never happened for the next
 // caller). Cache hits under profiling report disposition "hit" with zero
 // scan counters.
-func (s *Server) executeStatements(ctx context.Context, stmts []*sqlish.Statement, keys []string, profile bool, tid string) (*QueryResponse, error) {
+func (s *Server) answer(ctx context.Context, b []byte, stmts []statement, profile bool, tid string) ([]byte, error) {
 	gen := s.store.Generation()
-	schema := lattice.Schema(s.store.Schema())
-	resp := &QueryResponse{Generation: gen, Results: make([]StatementResult, len(stmts)), TraceID: tid}
-
-	var missIdx []int
-	for i, key := range keys {
-		if res, ok := s.cache.get(cacheKey{generation: gen, statement: key}); ok {
+	misses := make([]int, 0, 1)
+	for i := range stmts {
+		if frag, ok := s.cache.get(cacheKey{generation: gen, statement: stmts[i].key}); ok {
 			s.m.cacheHits.Inc()
-			resp.Results[i] = *res
-			resp.Results[i].Cached = true
-			if profile {
-				resp.Results[i].Profile = &workload.QueryProfile{Cache: "hit", TraceID: tid}
-			}
+			stmts[i].frag = frag
 			continue
 		}
 		s.m.cacheMisses.Inc()
-		missIdx = append(missIdx, i)
-	}
-	if len(missIdx) == 0 {
-		return resp, nil
+		misses = append(misses, i)
 	}
 
-	var rowSets [][]workload.Row
-	var profs []*workload.QueryProfile
-	if profile || len(missIdx) == 1 {
-		rowSets = make([][]workload.Row, len(missIdx))
-		if profile {
-			profs = make([]*workload.QueryProfile, len(missIdx))
-		}
-		for j, i := range missIdx {
-			var prof *workload.QueryProfile
+	if profile || len(misses) == 1 {
+		for _, i := range misses {
 			if profile {
-				prof = &workload.QueryProfile{TraceID: tid, Cache: "miss"}
-				profs[j] = prof
+				stmts[i].prof = &workload.QueryProfile{TraceID: tid, Cache: "miss"}
 			}
-			rows, err := s.store.QueryProfiledCtx(ctx, stmts[i].Query, prof)
+			rows, err := s.store.QueryProfiledCtx(ctx, stmts[i].st.Query, stmts[i].prof)
 			if err != nil {
 				return nil, err
 			}
-			rowSets[j] = rows
+			stmts[i].rows = rows
 		}
-	} else {
-		qs := make([]workload.Query, len(missIdx))
-		for j, i := range missIdx {
-			qs[j] = stmts[i].Query
+	} else if len(misses) > 1 {
+		qs := make([]workload.Query, len(misses))
+		for j, i := range misses {
+			qs[j] = stmts[i].st.Query
 		}
-		var err error
-		rowSets, err = s.store.QueryBatchCtx(ctx, qs, s.cfg.BatchParallelism)
+		rowSets, err := s.store.QueryBatchCtx(ctx, qs, s.cfg.BatchParallelism)
 		if err != nil {
 			return nil, err
+		}
+		for j, i := range misses {
+			stmts[i].rows = rowSets[j]
 		}
 	}
 
+	// The body, field for field in QueryResponse and StatementResult order.
 	cacheable := !profile && s.store.Generation() == gen
-	for j, i := range missIdx {
-		headers, rows, err := stmts[i].Format(rowSets[j], schema)
-		if err != nil {
-			return nil, err
+	b = strconv.AppendInt(append(b, `{"generation":`...), int64(gen), 10)
+	b = append(b, `,"results":[`...)
+	for i := range stmts {
+		st := &stmts[i]
+		if i > 0 {
+			b = append(b, ',')
 		}
-		if rows == nil {
-			rows = [][]string{} // JSON [] beats null for empty results
+		if st.frag != nil {
+			b = append(append(b, st.frag...), `,"cached":true`...)
+			if profile {
+				st.prof = &workload.QueryProfile{Cache: "hit", TraceID: tid}
+			}
+		} else {
+			start := len(b)
+			b = appendResult(b, st.st, st.proj, st.rows)
+			if cacheable {
+				s.cache.put(cacheKey{generation: gen, statement: st.key}, bytes.Clone(b[start:]))
+			}
 		}
-		res := StatementResult{Headers: headers, Rows: rows}
-		if profs != nil {
-			res.Profile = profs[j]
+		if st.prof != nil {
+			pj, err := json.Marshal(st.prof)
+			if err != nil {
+				return nil, err
+			}
+			b = append(append(b, `,"profile":`...), pj...)
 		}
-		resp.Results[i] = res
-		if cacheable {
-			s.cache.put(cacheKey{generation: gen, statement: keys[i]}, &res)
-		}
+		b = append(b, '}')
 	}
-	return resp, nil
+	b = append(b, ']')
+	if tid != "" {
+		b = appendJSONString(append(b, `,"trace_id":`...), tid)
+	}
+	return append(b, "}\n"...), nil
 }
 
 // mapQueryError classifies an execution error into a structured response.
@@ -645,37 +667,52 @@ func (c *countedRows) Next() bool {
 func (c *countedRows) Value(a lattice.Attr) (int64, error) { return c.inner.Value(a) }
 func (c *countedRows) Measure() int64                      { return c.inner.Measure() }
 
-// canonicalStatement renders a parsed statement into its cache-key form:
-// projection labels, the canonical query string, and the limit. Two SQL
-// spellings that parse identically (case, whitespace, clause order slack)
-// share one key.
-func canonicalStatement(st *sqlish.Statement) string {
-	var b strings.Builder
-	for i, c := range st.Columns {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(c.Label)
+// appendCanonical appends a parsed statement's cache-key form to b:
+// projection labels, group-by node, equality and range predicates, and the
+// limit. Labels and attribute names are identifiers or agg(identifier), so
+// the separators cannot be confused with their contents. Two SQL spellings
+// that parse identically (case, whitespace, clause order slack) share one
+// key.
+func appendCanonical(b []byte, st *sqlish.Statement) []byte {
+	for _, c := range st.Columns {
+		b = append(append(b, c.Label...), ',')
 	}
-	b.WriteByte('|')
-	b.WriteString(st.Query.String())
+	b = append(b, '|')
+	for _, a := range st.Query.Node {
+		b = append(append(b, a...), ',')
+	}
+	b = append(b, '|')
+	for _, p := range st.Query.Fixed {
+		b = strconv.AppendInt(append(append(b, p.Attr...), '='), p.Value, 10)
+		b = append(b, ',')
+	}
+	b = append(b, '|')
+	for _, r := range st.Query.Ranges {
+		b = strconv.AppendInt(append(append(b, r.Attr...), '='), r.Lo, 10)
+		b = strconv.AppendInt(append(b, ':'), r.Hi, 10)
+		b = append(b, ',')
+	}
 	if st.HasLimit {
-		b.WriteString("|limit=")
-		b.WriteString(strconv.Itoa(st.Limit))
+		b = strconv.AppendInt(append(b, "|limit="...), int64(st.Limit), 10)
 	}
-	return b.String()
+	return b
 }
 
-// readBody reads at most max bytes of r's body; an over-limit body is the
-// only error surfaced (client disconnects mid-body produce a best-effort
-// empty read that fails SQL parsing downstream).
-func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error) {
+// readBody reads at most max bytes of r's body into a pooled buffer the
+// caller returns with putBuf; an over-limit body is the only error surfaced
+// (client disconnects mid-body produce a best-effort empty read that fails
+// SQL parsing downstream).
+func readBody(w http.ResponseWriter, r *http.Request, max int64) (*[]byte, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, max)
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r.Body); err != nil {
+	p := getBuf()
+	buf := bytes.NewBuffer(*p)
+	_, err := buf.ReadFrom(r.Body)
+	*p = buf.Bytes()
+	if err != nil {
+		putBuf(p)
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return p, nil
 }
 
 // writeJSON renders one success response. The value is encoded to a buffer

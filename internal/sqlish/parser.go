@@ -2,6 +2,7 @@ package sqlish
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -286,40 +287,26 @@ func (p *parser) parseNumber() (int64, error) {
 // WHERE on non-grouped attributes; the slice-query model folds them into
 // the node, where they surface as the constant predicate value).
 func (p *parser) finish(st *Statement) error {
-	inNode := func(a lattice.Attr) bool {
-		for _, n := range st.Query.Node {
-			if n == a {
-				return true
-			}
-		}
-		return false
-	}
+	hasAgg := false
 	for _, c := range st.Columns {
 		if c.Attr == "" {
-			continue
-		}
-		if !inNode(c.Attr) {
+			hasAgg = true
+		} else if !slices.Contains(st.Query.Node, c.Attr) {
 			return fmt.Errorf("sqlish: column %q must appear in GROUP BY", c.Attr)
 		}
 	}
 	for _, pr := range st.Query.Fixed {
-		if !inNode(pr.Attr) {
+		if !slices.Contains(st.Query.Node, pr.Attr) {
 			st.Query.Node = append(st.Query.Node, pr.Attr)
 		}
 	}
 	for _, r := range st.Query.Ranges {
-		if !inNode(r.Attr) {
+		if !slices.Contains(st.Query.Node, r.Attr) {
 			st.Query.Node = append(st.Query.Node, r.Attr)
 		}
 	}
 	if len(st.Columns) == 0 {
 		return fmt.Errorf("sqlish: empty select list")
-	}
-	hasAgg := false
-	for _, c := range st.Columns {
-		if c.Attr == "" {
-			hasAgg = true
-		}
 	}
 	if !hasAgg {
 		return fmt.Errorf("sqlish: select list needs at least one aggregate (sum/count/avg/min/max)")
@@ -327,48 +314,104 @@ func (p *parser) finish(st *Statement) error {
 	return nil
 }
 
+// Projection is a statement's SELECT list resolved against its result node
+// and a measure schema: where each column's value sits in a workload.Row.
+// Format and the HTTP response writer both render cells through it.
+type Projection struct {
+	cols  []colSource
+	limit int // -1 without LIMIT
+}
+
+// colSource is one column's kind and its Row.Group or Row.Extra index.
+type colSource struct{ kind, pos int }
+
+const (
+	colGroup = iota
+	colSum
+	colCount
+	colAvg
+	colExtra
+)
+
+// Resolve resolves the statement's projection against schema, the engine's
+// measure schema, so a MIN or MAX the schema does not store fails the
+// statement before any scan.
+func (st *Statement) Resolve(schema lattice.Schema) (Projection, error) {
+	p := Projection{cols: make([]colSource, len(st.Columns)), limit: -1}
+	if st.HasLimit {
+		p.limit = st.Limit
+	}
+	for i, c := range st.Columns {
+		switch {
+		case c.Attr != "":
+			pos := slices.Index(st.Query.Node, c.Attr)
+			if pos < 0 {
+				return Projection{}, fmt.Errorf("sqlish: column %q not in result", c.Attr)
+			}
+			p.cols[i] = colSource{colGroup, pos}
+		case c.IsAvg:
+			p.cols[i] = colSource{kind: colAvg}
+		case c.Agg == lattice.AggSum:
+			p.cols[i] = colSource{kind: colSum}
+		case c.Agg == lattice.AggCount:
+			p.cols[i] = colSource{kind: colCount}
+		default:
+			// Extras are the schema's measures after SUM and COUNT.
+			pos := slices.Index(schema, c.Agg) - 2
+			if pos < 0 {
+				return Projection{}, fmt.Errorf("sqlish: %s not stored in this warehouse (add it via ExtraMeasures)", c.Label)
+			}
+			p.cols[i] = colSource{colExtra, pos}
+		}
+	}
+	return p, nil
+}
+
+// Rows returns the rows the statement renders: rows cut to its LIMIT.
+func (p Projection) Rows(rows []workload.Row) []workload.Row {
+	if p.limit >= 0 && len(rows) > p.limit {
+		return rows[:p.limit]
+	}
+	return rows
+}
+
+// AppendCell appends column i of r to dst in its text form: a decimal
+// integer, or for AVG a decimal with two places. The text never needs JSON
+// escaping.
+func (p Projection) AppendCell(dst []byte, r workload.Row, i int) []byte {
+	c := p.cols[i]
+	switch c.kind {
+	case colGroup:
+		return strconv.AppendInt(dst, r.Group[c.pos], 10)
+	case colSum:
+		return strconv.AppendInt(dst, r.Sum, 10)
+	case colCount:
+		return strconv.AppendInt(dst, r.Count, 10)
+	case colAvg:
+		return strconv.AppendFloat(dst, r.Avg(), 'f', 2, 64)
+	default:
+		return strconv.AppendInt(dst, r.Extra[c.pos], 10)
+	}
+}
+
 // Format renders result rows under the statement's projection. schema is
 // the engine's measure schema (for locating MIN/MAX extras).
 func (st *Statement) Format(rows []workload.Row, schema lattice.Schema) ([]string, [][]string, error) {
+	p, err := st.Resolve(schema)
+	if err != nil {
+		return nil, nil, err
+	}
 	headers := make([]string, len(st.Columns))
 	for i, c := range st.Columns {
 		headers[i] = c.Label
 	}
-	attrPos := map[lattice.Attr]int{}
-	for i, a := range st.Query.Node {
-		attrPos[a] = i
-	}
-	extraPos := map[lattice.Agg]int{}
-	for i, a := range schema.Extras() {
-		extraPos[a] = i
-	}
-	if st.HasLimit && len(rows) > st.Limit {
-		rows = rows[:st.Limit]
-	}
 	var out [][]string
-	for _, r := range rows {
+	var cell []byte
+	for _, r := range p.Rows(rows) {
 		cells := make([]string, len(st.Columns))
-		for i, c := range st.Columns {
-			switch {
-			case c.Attr != "":
-				pos, ok := attrPos[c.Attr]
-				if !ok {
-					return nil, nil, fmt.Errorf("sqlish: column %q not in result", c.Attr)
-				}
-				cells[i] = strconv.FormatInt(r.Group[pos], 10)
-			case c.IsAvg:
-				cells[i] = strconv.FormatFloat(r.Avg(), 'f', 2, 64)
-			case c.Agg == lattice.AggSum:
-				cells[i] = strconv.FormatInt(r.Sum, 10)
-			case c.Agg == lattice.AggCount:
-				cells[i] = strconv.FormatInt(r.Count, 10)
-			default:
-				pos, ok := extraPos[c.Agg]
-				if !ok || pos >= len(r.Extra) {
-					return nil, nil, fmt.Errorf("sqlish: %s not stored in this warehouse (add it via ExtraMeasures)", c.Label)
-				}
-				cells[i] = strconv.FormatInt(r.Extra[pos], 10)
-			}
+		for i := range cells {
+			cell = p.AppendCell(cell[:0], r, i)
+			cells[i] = string(cell)
 		}
 		out = append(out, cells)
 	}

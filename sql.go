@@ -14,11 +14,15 @@ import (
 //	GROUP BY partkey
 //
 // Supported aggregates are SUM, COUNT, AVG, MIN and MAX (MIN/MAX require
-// Config.ExtraMeasures). It returns the column headers and the formatted
-// result rows in canonical order.
+// Config.ExtraMeasures; without them the statement fails before any scan).
+// It returns the column headers and the formatted result rows in canonical
+// order.
 func (w *Warehouse) QuerySQL(sql string) (headers []string, rows [][]string, err error) {
 	st, err := sqlish.Parse(sql)
 	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := st.Resolve(w.schema); err != nil {
 		return nil, nil, err
 	}
 	res, err := w.Query(st.Query)
