@@ -158,24 +158,6 @@ func TestCollectRequiresHistory(t *testing.T) {
 	}
 }
 
-// ctopRows is a tiny in-memory fact stream for the live-cluster test.
-type ctopRows struct {
-	rows [][3]int64 // product, region, qty
-	i    int
-}
-
-func (s *ctopRows) Next() bool { s.i++; return s.i <= len(s.rows) }
-func (s *ctopRows) Value(a cubetree.Attr) (int64, error) {
-	switch a {
-	case "product":
-		return s.rows[s.i-1][0], nil
-	case "region":
-		return s.rows[s.i-1][1], nil
-	}
-	return 0, fmt.Errorf("unknown attribute %q", a)
-}
-func (s *ctopRows) Measure() int64 { return s.rows[s.i-1][2] }
-
 // TestOnceAgainstLiveCluster is the acceptance check: a real in-process
 // 2-worker cluster behind a coordinator, polled exactly the way
 // `ctop -once -json` does, must yield per-shard rows plus a fleet rollup
@@ -188,19 +170,22 @@ func TestOnceAgainstLiveCluster(t *testing.T) {
 	}
 	var addrs []string
 	for i := 0; i < 2; i++ {
+		fact := func(product, region, qty int64) cubetree.Row {
+			return cubetree.Row{Group: []int64{product, region}, Sum: qty, Count: 1}
+		}
 		wh, err := cubetree.Materialize(cubetree.Config{
 			Dir:     filepath.Join(dir, fmt.Sprintf("shard%d", i)),
 			Domains: map[cubetree.Attr]int64{"product": 3, "region": 2},
-		}, views, &ctopRows{rows: [][3]int64{
-			{1, 1, 10}, {1, 2, 5}, {2, 1, 7}, {int64(i) + 1, 1, 4},
-		}})
+		}, views, dist.Facts(dist.ViewAttrs(views), []cubetree.Row{
+			fact(1, 1, 10), fact(1, 2, 5), fact(2, 1, 7), fact(int64(i)+1, 1, 4),
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer wh.Close()
 		wo := cubetree.NewObserver(cubetree.ObserverOptions{})
 		wh.SetObserver(wo)
-		wk := dist.NewWorker(cubetree.ShardBackend(wh), cubetree.ShardCSV, wo)
+		wk := dist.NewWorker(cubetree.ShardBackend(wh), wo)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

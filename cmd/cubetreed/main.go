@@ -133,7 +133,7 @@ func serverConfig(inflight, queue int, queueWait, timeout time.Duration, rate fl
 // worker process just like on the coordinator — the distributed-tracing
 // story needs every hop inspectable.
 func runWorker(w *cubetree.Warehouse, o *cubetree.Observer, dir, addr, debugAddr string) {
-	wk := dist.NewWorker(cubetree.ShardBackend(w), cubetree.ShardCSV, o)
+	wk := dist.NewWorker(cubetree.ShardBackend(w), o)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatalf("cubetreed: listen: %v", err)

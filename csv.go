@@ -17,7 +17,9 @@ import (
 //	rows, _ := cubetree.CSVRows(f, "quantity")
 //	w, _ := cubetree.Materialize(cfg, views, rows)
 //
-// Errors encountered mid-stream stop iteration and surface from Err.
+// An error met mid-stream (a malformed record, a column the views read but
+// the header lacks) stops iteration, surfaces from Err and fails Materialize
+// or Update: nothing is built from a truncated stream.
 func CSVRows(r io.Reader, measure string) (*CSVSource, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
@@ -80,19 +82,18 @@ func (s *CSVSource) Next() bool {
 func (s *CSVSource) Value(a Attr) (int64, error) {
 	i, ok := s.cols[a]
 	if !ok {
-		return 0, fmt.Errorf("cubetree: csv has no column %q", a)
+		s.err = fmt.Errorf("cubetree: csv has no column %q", a)
+		return 0, s.err
 	}
-	if i >= len(s.row) {
-		return 0, fmt.Errorf("cubetree: short csv record (no column %q)", a)
-	}
+	// encoding/csv holds every record to the header's field count.
 	return s.row[i], nil
 }
 
 // Measure returns the measure column of the current record.
 func (s *CSVSource) Measure() int64 { return s.row[s.measureCol] }
 
-// Err returns the first error encountered while reading, if any. Callers
-// should check it after Materialize or Update returns.
+// Err returns the first error encountered while reading, if any: what made
+// Materialize or Update fail when the fault was in the data.
 func (s *CSVSource) Err() error { return s.err }
 
 var _ RowIter = (*CSVSource)(nil)

@@ -1,7 +1,6 @@
 package cubetree
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 
@@ -23,12 +22,6 @@ func (b shardBackend) BeginUpdate(rows RowIter) (dist.Pending, error) {
 func (b shardBackend) Stat() (points, bytes int64) {
 	st := b.Warehouse.Stat()
 	return st.Points, st.Bytes
-}
-
-// ShardCSV is the dist.CSVSource a worker uses to parse refresh deltas —
-// the same CSV reader the HTTP refresh endpoint and ctload use.
-func ShardCSV(csv []byte, measure string) (RowIter, error) {
-	return CSVRows(bytes.NewReader(csv), measure)
 }
 
 // CoordinatorDebugMux builds the debug handler for a coordinator process:

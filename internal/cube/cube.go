@@ -25,7 +25,9 @@ import (
 )
 
 // RowIter streams fact rows. Value must answer for every attribute of every
-// view being computed (including hierarchy attributes like "brand").
+// view being computed (including hierarchy attributes like "brand"). An
+// iterator that can fail mid-stream (a parser, say) also has an Err() error
+// method, for its consumer to check once Next has returned false.
 type RowIter interface {
 	// Next advances to the next row, reporting whether one exists.
 	Next() bool
@@ -122,7 +124,8 @@ type Options struct {
 
 // Compute materializes the selected views from one pass over rows plus
 // derivations between views. The result maps View.Key() to its data. dir
-// holds the output and scratch files.
+// holds the output and scratch files. A fact stream that ends on an error
+// fails Compute: no view is built from a truncated stream.
 func Compute(dir string, rows RowIter, views []lattice.View, opts Options) (map[string]*ViewData, error) {
 	if opts.MemLimit <= 0 {
 		opts.MemLimit = extsort.DefaultMemLimit
@@ -179,6 +182,16 @@ func Compute(dir string, rows RowIter, views []lattice.View, opts Options) (map[
 			sorters[v.Key()] = newViewSorter(dir, v, opts)
 		}
 	}
+	// abandon fails the fact pass; finishing every sorter leaves no spill
+	// worker blocked.
+	abandon := func(err error) (map[string]*ViewData, error) {
+		for _, s := range sorters {
+			if it, serr := s.Sort(); serr == nil {
+				it.Close()
+			}
+		}
+		return nil, err
+	}
 	scanSp := opts.Span.Child("fact-scan")
 	var nrows int64
 	vals := make([]int64, 0, 8)
@@ -194,15 +207,18 @@ func Compute(dir string, rows RowIter, views []lattice.View, opts Options) (map[
 			for _, a := range v.Attrs {
 				x, err := rows.Value(a)
 				if err != nil {
-					return nil, err
+					return abandon(err)
 				}
 				vals = append(vals, x)
 			}
 			vals = append(vals, mvec...)
 			if err := sorters[v.Key()].AddTuple(vals); err != nil {
-				return nil, err
+				return abandon(err)
 			}
 		}
+	}
+	if ec, ok := rows.(interface{ Err() error }); ok && ec.Err() != nil {
+		return abandon(ec.Err())
 	}
 	scanSp.SetInt("rows", nrows)
 	scanSp.End()

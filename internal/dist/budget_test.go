@@ -1,11 +1,9 @@
 package dist_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"path/filepath"
 	"runtime/debug"
 	"slices"
@@ -53,39 +51,17 @@ func startTPCDCluster(tb testing.TB, sf float64, nslices int) *tpcdCluster {
 		cubetree.NewView("", tpcd.AttrPart),
 		cubetree.NewView(""),
 	}
-	docs, err := dist.Partition(&tpcdFacts{ds.FactRows()}, dist.SortedAttrs(domains), 2)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	dir := tb.TempDir()
-	var addrs []string
-	for i, doc := range docs {
-		src, err := cubetree.CSVRows(bytes.NewReader(doc), dist.PartitionMeasure)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		wh, err := cubetree.Materialize(cubetree.Config{
+	whs := loadShards(tb, &tpcdFacts{ds.FactRows()}, 2, views, func(i int) cubetree.Config {
+		return cubetree.Config{
 			Dir: filepath.Join(dir, fmt.Sprintf("shard%d", i)), Domains: domains, PoolPages: 8192,
 			Replicas: [][]cubetree.Attr{
 				{tpcd.AttrSupplier, tpcd.AttrCustomer, tpcd.AttrPart},
 				{tpcd.AttrCustomer, tpcd.AttrPart, tpcd.AttrSupplier},
 			},
-		}, views, src)
-		if err != nil {
-			tb.Fatal(err)
 		}
-		wk := dist.NewWorker(cubetree.ShardBackend(wh), cubetree.ShardCSV, nil)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		go wk.Serve(ln)
-		tb.Cleanup(func() {
-			wk.Close()
-			wh.Close()
-		})
-		addrs = append(addrs, ln.Addr().String())
-	}
+	})
+	_, addrs := serveShards(tb, whs, nil)
 	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{Shards: addrs})
 	if err != nil {
 		tb.Fatal(err)

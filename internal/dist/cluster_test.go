@@ -40,24 +40,11 @@ func TestClusterDaemonWorkerLoss(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	facts := synthFacts(400, 11)
-	docs, err := dist.Partition(facts, testAttrs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardDirs := make([]string, 2)
-	for i, doc := range docs {
-		shardDirs[i] = filepath.Join(dir, fmt.Sprintf("shard%d", i))
-		src, err := cubetree.ShardCSV(doc, dist.PartitionMeasure)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wh, err := cubetree.Materialize(
-			cubetree.Config{Dir: shardDirs[i], Domains: testDomains},
-			clusterViews(), src)
-		if err != nil {
-			t.Fatal(err)
-		}
+	shardDirs := []string{filepath.Join(dir, "shard0"), filepath.Join(dir, "shard1")}
+	whs := loadShards(t, dist.Facts(factAttrs, synthFacts(400, 11, testDomains)), 2, clusterViews(), func(i int) cubetree.Config {
+		return cubetree.Config{Dir: shardDirs[i], Domains: testDomains}
+	})
+	for _, wh := range whs {
 		if err := wh.Close(); err != nil {
 			t.Fatal(err)
 		}

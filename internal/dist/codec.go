@@ -10,17 +10,18 @@ import (
 	"cubetree/internal/workload"
 )
 
-// The binary payloads of the four query-path frames. Every integer is a
-// varint (unsigned counts and lengths, zig-zag for values that may be
-// negative), every string a length-prefixed byte run, and every flags byte
-// must have its undefined bits zero. docs/DISTRIBUTED.md has the byte-level
-// tables.
+// The binary payloads of the four query-path frames and of refreshPrepare.
+// Every integer is a varint (unsigned counts and lengths, zig-zag for values
+// that may be negative), every string a length-prefixed byte run, and every
+// flags byte must have its undefined bits zero. docs/DISTRIBUTED.md has the
+// byte-level tables.
 //
-//	query      := flags(1: profile wanted) traceID query
-//	queryBatch := flags(0) traceID parallelism nqueries query*
-//	query      := nnode name* nfixed (name value)* nranges (name lo hi)*
-//	rows       := generation flags(1: profile follows) rowset [len profileJSON]
-//	rowsBatch  := generation nresults rowset*
+//	query          := flags(1: profile wanted) traceID query
+//	queryBatch     := flags(0) traceID parallelism nqueries query*
+//	query          := nnode name* nfixed (name value)* nranges (name lo hi)*
+//	rows           := generation flags(1: profile follows) rowset [len profileJSON]
+//	rowsBatch      := generation nresults rowset*
+//	refreshPrepare := nattrs name* rowset
 //
 // Decoders treat their input as hostile: a count is checked against the bytes
 // left before anything is allocated for it, so decoding N bytes allocates at
@@ -337,6 +338,45 @@ func decodeRowsBatchReply(src []byte, col *[]int64) (generation int, results [][
 		}
 	}
 	return generation, results, r.finish()
+}
+
+// appendRefreshPrepare appends FrameRefreshPrepare's payload: the attribute
+// names, then the shard's slice of the delta as one row-set block.
+func appendRefreshPrepare(dst []byte, attrs []lattice.Attr, rows []workload.Row) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(attrs)))
+	for _, a := range attrs {
+		dst = appendString(dst, string(a))
+	}
+	return AppendRowSet(dst, rows)
+}
+
+// decodeRefreshPrepare decodes FrameRefreshPrepare's payload for a shard
+// whose views read attrs. Attribute names other than attrs, and a fact that
+// is not one value per attribute counted once, are refused like any
+// malformed payload.
+func decodeRefreshPrepare(src []byte, attrs []lattice.Attr) ([]workload.Row, error) {
+	r := reader{what: "refreshPrepare", buf: src}
+	if n := r.count(1); n != len(attrs) {
+		r.fail("%d attributes, the shard reads %d", n, len(attrs))
+	}
+	for _, a := range attrs {
+		if got := r.string(); got != string(a) {
+			r.fail("attribute %q where the shard reads %q", got, a)
+		}
+	}
+	var col []int64
+	rows := r.rowSet(&col)
+	for _, f := range rows {
+		if len(f.Group) != len(attrs) || len(f.Extra) != 0 || f.Count != 1 {
+			r.fail("a fact of %d columns and %d extra measures counted %d times, for %d attributes",
+				len(f.Group), len(f.Extra), f.Count, len(attrs))
+			break
+		}
+	}
+	if err := r.finish(); err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
 // reader walks a binary payload. Its first failure sticks: every later read

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"cubetree/internal/lattice"
+	"cubetree/internal/tpcd"
 	"cubetree/internal/workload"
 )
 
@@ -238,6 +239,30 @@ func TestDecodeRowSetRejects(t *testing.T) {
 	if _, _, _, err := decodeRowsReply([]byte{1, flagProfile, 0, 3, '{', '}'}, &col); err == nil {
 		t.Fatal("a profile shorter than its length prefix was accepted")
 	}
+	// A refreshPrepare payload refuses what does not fit the shard's own
+	// attributes, and trailing bytes.
+	attrs := []lattice.Attr{"a", "b"}
+	fact := workload.Row{Group: []int64{1, 2}, Sum: 3, Count: 1}
+	prepare := func(attrs []lattice.Attr, rows ...workload.Row) []byte {
+		return appendRefreshPrepare(nil, attrs, rows)
+	}
+	for name, tc := range map[string]struct {
+		src  []byte
+		want string
+	}{
+		"other attribute":    {prepare([]lattice.Attr{"a", "c"}, fact), `"c"`},
+		"fewer attributes":   {prepare([]lattice.Attr{"a"}), "1 attributes"},
+		"narrow rows":        {prepare(attrs, workload.Row{Group: []int64{1}, Count: 1}), "1 columns"},
+		"extra measures":     {prepare(attrs, workload.Row{Group: []int64{1, 2}, Count: 1, Extra: []int64{4}}), "1 extra"},
+		"fact counted twice": {prepare(attrs, fact, workload.Row{Group: []int64{1, 2}, Count: 2}), "counted 2 times"},
+		"trailing bytes":     {append(prepare(attrs, fact), 0), "trailing"},
+	} {
+		rows, err := decodeRefreshPrepare(tc.src, attrs)
+		var pe *PayloadError
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("refreshPrepare %s: err = %v (%d rows), want a *PayloadError mentioning %q", name, err, len(rows), tc.want)
+		}
+	}
 }
 
 // TestDecodeRowSetNoOverAllocate is TestDecodeFrameNoOverAllocate one layer
@@ -258,6 +283,40 @@ func TestDecodeRowSetNoOverAllocate(t *testing.T) {
 		t.Fatalf("refusing %d bytes took %v allocations and %d bytes", len(src), allocs, after.TotalAlloc-before.TotalAlloc)
 	}
 }
+
+// TestRefreshPrepareWireSize pins what a refresh delta costs on the wire: the
+// TPC-D SF 0.05 10 % increment (seed 1998) over the three foreign keys, split
+// over 2 shards, round-trips through the refreshPrepare payloads at no more
+// than 6 bytes a fact. The CSV inside JSON that the binary payload replaced
+// cost 21.8.
+func TestRefreshPrepareWireSize(t *testing.T) {
+	ds := tpcd.New(tpcd.Params{SF: 0.05, Seed: 1998})
+	attrs := []lattice.Attr{tpcd.AttrCustomer, tpcd.AttrPart, tpcd.AttrSupplier}
+	parts, err := Partition(tpcdIncrement{ds.Increment(0.1, 1)}, attrs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var facts, size int
+	for i, part := range parts {
+		payload := appendRefreshPrepare(nil, attrs, part)
+		got, err := decodeRefreshPrepare(payload, attrs)
+		if err != nil || !workload.EqualRows(got, part) {
+			t.Fatalf("shard %d: %d facts decode to %d, %v", i, len(part), len(got), err)
+		}
+		facts += len(part)
+		size += len(payload)
+	}
+	perFact := float64(size) / float64(facts)
+	t.Logf("%d facts in %d bytes: %.2f B/fact", facts, size, perFact)
+	if facts != 30006 || perFact > 6.0 {
+		t.Fatalf("%d facts at %.2f B/fact, want 30006 at ≤ 6.0", facts, perFact)
+	}
+}
+
+// tpcdIncrement is a TPC-D fact stream with quantity as the measure.
+type tpcdIncrement struct{ *tpcd.Iterator }
+
+func (f tpcdIncrement) Measure() int64 { return f.Fact().Quantity }
 
 // testQueries is every query shape the benchmark's slice and scan lists
 // produce — each lattice node with each subset of its attributes fixed, and
@@ -374,7 +433,22 @@ func FuzzDecodeQuery(f *testing.F) {
 	}
 	f.Add(appendQueryBatchRequest(nil, wireTestQueries()[:9], 4, "cafe"))
 	f.Add([]byte{0x80, 0, 0, 0, 0})
+	fuzzAttrs := []lattice.Attr{"custkey", "partkey", "suppkey"}
+	f.Add(appendRefreshPrepare(nil, fuzzAttrs, nil))
+	f.Add(appendRefreshPrepare(nil, fuzzAttrs, []workload.Row{
+		{Group: []int64{1, 2, 3}, Sum: 4, Count: 1}, {Group: []int64{-5, 6, 1 << 40}, Sum: -8, Count: 1}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if rows, err := decodeRefreshPrepare(data, fuzzAttrs); err != nil {
+			var pe *PayloadError
+			if !errors.As(err, &pe) || rows != nil {
+				t.Fatalf("refreshPrepare refusal is %T with %d rows", err, len(rows))
+			}
+		} else {
+			again, err := decodeRefreshPrepare(appendRefreshPrepare(nil, fuzzAttrs, rows), fuzzAttrs)
+			if err != nil || !workload.EqualRows(again, rows) {
+				t.Fatalf("a delta of %d facts does not survive re-encoding: %v", len(rows), err)
+			}
+		}
 		if q, traceID, profile, err := decodeQueryRequest(data); err == nil {
 			q2, id2, p2, err := decodeQueryRequest(appendQueryRequest(nil, q, traceID, profile))
 			if err != nil || !reflect.DeepEqual(q2, q) || id2 != traceID || p2 != profile {

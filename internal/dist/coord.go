@@ -187,7 +187,6 @@ type Coordinator struct {
 
 	views   []lattice.View
 	domains map[lattice.Attr]int64
-	attrs   []lattice.Attr
 	schema  lattice.Schema
 
 	// qmu orders scatters against refresh commits: every query holds the
@@ -293,7 +292,6 @@ func (c *Coordinator) adoptStats(i int, sh *shard, sp statsReplyPayload) error {
 	}
 	if i == 0 {
 		c.schema, c.views, c.domains = schema, views, domains
-		c.attrs = SortedAttrs(domains)
 		return nil
 	}
 	if !schema.Equal(c.schema) {
@@ -720,21 +718,22 @@ func (c *Coordinator) QueryBatchCtx(ctx context.Context, qs []workload.Query, pa
 }
 
 // Update distributes a refresh: the delta is hash-partitioned into
-// per-shard CSV documents, every shard merge-packs its slice into a pending
-// generation concurrently (queries keep flowing), and once every shard has
-// prepared, all shards are committed inside one brief query-blocking
-// window. The logical generation advances only when every shard has acked
-// its swap; commit stragglers are retried hard with backoff.
+// per-shard row sets over the attributes the views read, every shard
+// merge-packs its slice into a pending generation concurrently (queries keep
+// flowing), and once every shard has prepared, all shards are committed
+// inside one brief query-blocking window. The logical generation advances
+// only when every shard has acked its swap; commit stragglers are retried
+// hard with backoff. A delta whose stream fails is refused before any shard
+// sees it.
 //
 // If a prepare fails, every prepared shard is aborted and nothing changes.
-// If a commit fails even after retries, shards may be left on different
-// generations — queries remain correct (each shard serves a committed
-// generation and the fold is per-group), but the all-at-once epoch guarantee
-// is degraded until the next successful refresh realigns the shards; the
-// error reports which shard lagged.
+// If a commit fails even after retries, the error reports which shard lagged;
+// the shards that did commit stay committed, and a shard that did not loses
+// its slice of this delta for good (docs/DISTRIBUTED.md, failure matrix).
 func (c *Coordinator) Update(rows cube.RowIter) error {
 	c.m.refreshes.Inc()
-	csvs, err := Partition(rows, c.attrs, len(c.shards))
+	attrs := ViewAttrs(c.views)
+	parts, err := Partition(rows, attrs, len(c.shards))
 	if err != nil {
 		return err
 	}
@@ -743,10 +742,16 @@ func (c *Coordinator) Update(rows cube.RowIter) error {
 	prepStart := time.Now()
 	gens := make([]int, len(c.shards))
 	_, err = c.scatter(func(i int, sh *shard) error {
+		req, err := endFrame(appendRefreshPrepare(
+			appendHeader(nil, FrameRefreshPrepare, c.lastID.Add(1), 0), attrs, parts[i]))
+		if err != nil {
+			return err
+		}
 		var pp refreshPreparedPayload
-		err := c.control(context.Background(), sh, FrameRefreshPrepare,
-			refreshPreparePayload{CSV: csvs[i], Measure: PartitionMeasure},
-			FrameRefreshPrepared, &pp, c.cfg.Retries, c.cfg.PrepareTimeout)
+		_, err = c.roundTrip(context.Background(), sh, req, FrameRefreshPrepared,
+			c.cfg.Retries, c.cfg.PrepareTimeout, func(_ *shardConn, payload []byte) error {
+				return unmarshalJSON(FrameRefreshPrepared, payload, &pp)
+			})
 		gens[i] = pp.Generation
 		return err
 	})
@@ -773,7 +778,7 @@ func (c *Coordinator) Update(rows cube.RowIter) error {
 	})
 	c.m.commitNS.Observe(time.Since(commitStart).Nanoseconds())
 	if err != nil {
-		return fmt.Errorf("dist: refresh commit incomplete, shards may be on mixed generations until the next refresh: %w", err)
+		return fmt.Errorf("dist: refresh commit incomplete, shards may be on mixed generations: %w", err)
 	}
 	return nil
 }

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,47 +20,31 @@ import (
 	"cubetree/internal/dist"
 	"cubetree/internal/lattice"
 	"cubetree/internal/obs"
+	"cubetree/internal/server"
 	"cubetree/internal/workload"
 )
 
-// memRows is an in-memory fact iterator.
-type memRows struct {
-	cols    []cubetree.Attr
-	rows    [][]int64
-	measure []int64
-	i       int
-}
+// testDomains, like a TPC-D catalog, has an attribute no view reads
+// (custnation): a fact need not carry it.
+var testDomains = map[cubetree.Attr]int64{"partkey": 12, "suppkey": 8, "custkey": 10, "custnation": 25}
 
-func (s *memRows) Next() bool { s.i++; return s.i <= len(s.rows) }
-func (s *memRows) Value(a cubetree.Attr) (int64, error) {
-	for j, c := range s.cols {
-		if c == a {
-			return s.rows[s.i-1][j], nil
-		}
-	}
-	return 0, fmt.Errorf("no column %q", a)
-}
-func (s *memRows) Measure() int64 { return s.measure[s.i-1] }
+// factAttrs orders the test facts' Group columns: custkey, partkey, suppkey.
+var factAttrs = dist.ViewAttrs(clusterViews())
 
-var testAttrs = []cubetree.Attr{"custkey", "partkey", "suppkey"}
-
-var testDomains = map[cubetree.Attr]int64{"partkey": 12, "suppkey": 8, "custkey": 10}
-
-// synthFacts generates n deterministic facts over the test domains.
-func synthFacts(n int, seed uint64) *memRows {
-	s := &memRows{cols: []cubetree.Attr{"partkey", "suppkey", "custkey"}}
+// synthFacts generates n deterministic facts with keys drawn from domains,
+// as rows for dist.Facts over factAttrs.
+func synthFacts(n int, seed uint64, domains map[cubetree.Attr]int64) []cubetree.Row {
 	state := seed ^ 0x9e3779b97f4a7c15
-	next := func() uint64 {
+	next := func(dom int64) int64 {
 		state = state*6364136223846793005 + 1442695040888963407
-		return state >> 16
+		return int64(state >> 16 % uint64(dom))
 	}
-	for i := 0; i < n; i++ {
-		s.rows = append(s.rows, []int64{
-			int64(next()%12) + 1, int64(next()%8) + 1, int64(next()%10) + 1,
-		})
-		s.measure = append(s.measure, int64(next()%1000)-200)
+	rows := make([]cubetree.Row, n)
+	for i := range rows {
+		part, supp, cust := next(domains["partkey"])+1, next(domains["suppkey"])+1, next(domains["custkey"])+1
+		rows[i] = cubetree.Row{Group: []int64{cust, part, supp}, Sum: next(1000) - 200, Count: 1}
 	}
-	return s
+	return rows
 }
 
 func clusterViews() []cubetree.View {
@@ -70,76 +56,104 @@ func clusterViews() []cubetree.View {
 	}
 }
 
-// cluster is a single-process reference warehouse plus an n-shard live
-// cluster over real TCP, built from the same facts.
-type cluster struct {
-	single  *cubetree.Warehouse
-	coord   *dist.Coordinator
-	workers []*dist.Worker
-	whs     []*cubetree.Warehouse
-	addrs   []string
+// loadShards splits facts over n shards the way the coordinator splits a
+// delta, and materializes each shard's slice under views with cfg(i). The
+// caller closes the warehouses.
+func loadShards(tb testing.TB, facts cubetree.RowIter, n int, views []cubetree.View, cfg func(i int) cubetree.Config) []*cubetree.Warehouse {
+	tb.Helper()
+	attrs := dist.ViewAttrs(views)
+	parts, err := dist.Partition(facts, attrs, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	whs := make([]*cubetree.Warehouse, n)
+	for i, part := range parts {
+		if whs[i], err = cubetree.Materialize(cfg(i), views, dist.Facts(attrs, part)); err != nil {
+			tb.Fatalf("shard %d: %v", i, err)
+		}
+	}
+	return whs
 }
 
-func startCluster(t *testing.T, n int, facts *memRows, o *obs.Observer) *cluster {
+// serveShards serves each warehouse from a worker on a loopback listener —
+// worker i observed by wobs[i] when wobs is not nil — and closes the workers,
+// then the warehouses, when the test ends.
+func serveShards(tb testing.TB, whs []*cubetree.Warehouse, wobs []*obs.Observer) (workers []*dist.Worker, addrs []string) {
+	tb.Helper()
+	tb.Cleanup(func() {
+		for _, wk := range workers {
+			wk.Close()
+		}
+		for _, wh := range whs {
+			wh.Close()
+		}
+	})
+	for i, wh := range whs {
+		var o *obs.Observer
+		if wobs != nil {
+			o = wobs[i]
+		}
+		wk := dist.NewWorker(cubetree.ShardBackend(wh), o)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		go wk.Serve(ln)
+		workers = append(workers, wk)
+		addrs = append(addrs, ln.Addr().String())
+	}
+	return workers, addrs
+}
+
+// cluster is a single-process reference warehouse plus an n-shard live
+// cluster over real TCP, built from the same facts. Every process — the
+// coordinator and each worker — has its own observer, the shape needed to
+// follow one trace ID across all of them.
+type cluster struct {
+	single    *cubetree.Warehouse
+	coord     *dist.Coordinator
+	workers   []*dist.Worker
+	addrs     []string
+	coordObs  *obs.Observer
+	workerObs []*obs.Observer
+}
+
+func startCluster(t *testing.T, n int, domains map[cubetree.Attr]int64, facts []cubetree.Row) *cluster {
 	t.Helper()
 	dir := t.TempDir()
 	cfgFor := func(sub string) cubetree.Config {
 		return cubetree.Config{
 			Dir:           filepath.Join(dir, sub),
-			Domains:       testDomains,
+			Domains:       domains,
 			ExtraMeasures: []cubetree.Agg{lattice.AggMin, lattice.AggMax},
 		}
 	}
-	cl := &cluster{}
+	cl := &cluster{coordObs: obs.New(obs.Options{})}
 	var err error
-	allFacts := *facts
-	cl.single, err = cubetree.Materialize(cfgFor("single"), clusterViews(), &allFacts)
+	cl.single, err = cubetree.Materialize(cfgFor("single"), clusterViews(), dist.Facts(factAttrs, facts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardFacts := *facts
-	docs, err := dist.Partition(&shardFacts, testAttrs, n)
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { cl.single.Close() })
+	whs := loadShards(t, dist.Facts(factAttrs, facts), n, clusterViews(), func(i int) cubetree.Config {
+		return cfgFor(fmt.Sprintf("shard%d", i))
+	})
+	for _, wh := range whs {
+		wo := obs.New(obs.Options{})
+		wh.SetObserver(wo)
+		cl.workerObs = append(cl.workerObs, wo)
 	}
-	for i, doc := range docs {
-		src, err := cubetree.CSVRows(bytes.NewReader(doc), dist.PartitionMeasure)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wh, err := cubetree.Materialize(cfgFor(fmt.Sprintf("shard%d", i)), clusterViews(), src)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		cl.whs = append(cl.whs, wh)
-		wk := dist.NewWorker(cubetree.ShardBackend(wh), cubetree.ShardCSV, nil)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go wk.Serve(ln)
-		cl.workers = append(cl.workers, wk)
-		cl.addrs = append(cl.addrs, ln.Addr().String())
-	}
+	cl.workers, cl.addrs = serveShards(t, whs, cl.workerObs)
 	cl.coord, err = dist.NewCoordinator(dist.CoordinatorConfig{
 		Shards:       cl.addrs,
 		Retries:      3,
 		RetryBackoff: 10 * time.Millisecond,
-		Obs:          o,
+		Obs:          cl.coordObs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		cl.coord.Close()
-		for _, wk := range cl.workers {
-			wk.Close()
-		}
-		cl.single.Close()
-		for _, wh := range cl.whs {
-			wh.Close()
-		}
-	})
+	t.Cleanup(func() { cl.coord.Close() })
 	return cl
 }
 
@@ -172,7 +186,7 @@ func testQueries(perNode int) []cubetree.Query {
 // facts returns identical sorted rows, including the MIN/MAX/COUNT
 // measures, both one query at a time and as a scattered batch.
 func TestClusterEquivalence(t *testing.T) {
-	cl := startCluster(t, 3, synthFacts(600, 1), nil)
+	cl := startCluster(t, 3, testDomains, synthFacts(600, 1, testDomains))
 	qs := testQueries(12)
 	ctx := context.Background()
 	for i, q := range qs {
@@ -209,8 +223,7 @@ func TestClusterEquivalence(t *testing.T) {
 // the refresh observe the old totals or the new totals — never a mix of
 // shard generations (the mixed-generation counter stays zero).
 func TestClusterRefresh(t *testing.T) {
-	o := obs.New(obs.Options{})
-	cl := startCluster(t, 3, synthFacts(600, 1), o)
+	cl := startCluster(t, 3, testDomains, synthFacts(600, 1, testDomains))
 	ctx := context.Background()
 	probes := []cubetree.Query{
 		{Node: []lattice.Attr{}},
@@ -226,9 +239,8 @@ func TestClusterRefresh(t *testing.T) {
 	}
 	genBefore := cl.coord.Generation()
 
-	delta := synthFacts(250, 7)
-	singleDelta := *delta
-	if err := cl.single.Update(&singleDelta); err != nil {
+	delta := synthFacts(250, 7, testDomains)
+	if err := cl.single.Update(dist.Facts(factAttrs, delta)); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range probes {
@@ -240,8 +252,7 @@ func TestClusterRefresh(t *testing.T) {
 	}
 
 	done := make(chan error, 1)
-	distDelta := *delta
-	go func() { done <- cl.coord.Update(&distDelta) }()
+	go func() { done <- cl.coord.Update(dist.Facts(factAttrs, delta)) }()
 	// Race probes against the refresh: every answer must be exactly the old
 	// result or exactly the new one.
 	for racing := true; racing; {
@@ -277,17 +288,15 @@ func TestClusterRefresh(t *testing.T) {
 	if got := cl.coord.Generation(); got != genBefore+3 {
 		t.Fatalf("logical generation = %d, want %d (one bump per shard)", got, genBefore+3)
 	}
-	if n := o.Registry.Snapshot().Counters["dist_mixed_generation_total"]; n != 0 {
+	if n := cl.coordObs.Registry.Snapshot().Counters["dist_mixed_generation_total"]; n != 0 {
 		t.Fatalf("saw %d mixed-generation scatters", n)
 	}
 	// A second refresh exercises commit idempotency paths from a clean slate.
-	delta2 := synthFacts(50, 13)
-	singleDelta2 := *delta2
-	if err := cl.single.Update(&singleDelta2); err != nil {
+	delta2 := synthFacts(50, 13, testDomains)
+	if err := cl.single.Update(dist.Facts(factAttrs, delta2)); err != nil {
 		t.Fatal(err)
 	}
-	distDelta2 := *delta2
-	if err := cl.coord.Update(&distDelta2); err != nil {
+	if err := cl.coord.Update(dist.Facts(factAttrs, delta2)); err != nil {
 		t.Fatal(err)
 	}
 	want, err := cl.single.QueryProfiledCtx(ctx, probes[0], nil)
@@ -303,11 +312,63 @@ func TestClusterRefresh(t *testing.T) {
 	}
 }
 
+// TestClusterRefreshOverHTTP posts CSV deltas through the HTTP front door of
+// a 2-shard cluster. A delta in dbgen's shape — extra columns, and none for
+// custnation, which the catalog has and no view reads — commits on every
+// shard. One with a bad record after good ones, or without a column the views
+// read, answers 400 and commits nothing on any shard.
+func TestClusterRefreshOverHTTP(t *testing.T) {
+	cl := startCluster(t, 2, testDomains, synthFacts(300, 2, testDomains))
+	ts := httptest.NewServer(server.New(server.Config{Store: cl.coord}).Handler())
+	defer ts.Close()
+	gen := cl.coord.Generation()
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		// The three facts reach both shards, so both generations move.
+		{"dbgen shape", "partkey,suppkey,custkey,month,year,quantity,brand,type\n" +
+			"3,2,5,11,4,28,20,134\n7,8,1,8,7,30,12,113\n12,1,10,1,2,-4,3,9\n", http.StatusOK},
+		{"bad record", "partkey,suppkey,custkey,quantity\n1,1,1,100\n2,1,1,100\nx,1,1,5\n", http.StatusBadRequest},
+		{"no custkey", "partkey,suppkey,quantity\n1,1,5\n", http.StatusBadRequest},
+	} {
+		res, err := http.Post(ts.URL+"/admin/refresh?measure=quantity", "text/csv", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != tc.status {
+			t.Fatalf("%s: refresh = %d, want %d", tc.name, res.StatusCode, tc.status)
+		}
+		if tc.status == http.StatusOK {
+			src, _ := cubetree.CSVRows(strings.NewReader(tc.body), "quantity")
+			if err := cl.single.Update(src); err != nil {
+				t.Fatal(err)
+			}
+			gen += 2
+		}
+		qs := testQueries(4)
+		got, err := cl.coord.QueryBatchCtx(context.Background(), qs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := cl.single.QueryBatchCtx(context.Background(), qs, 1)
+		for i := range qs {
+			if !workload.EqualRows(got[i], want[i]) {
+				t.Fatalf("%s: query %v differs from the single warehouse", tc.name, qs[i])
+			}
+		}
+		if g := cl.coord.Generation(); g != gen {
+			t.Fatalf("%s: generation %d, want %d", tc.name, g, gen)
+		}
+	}
+}
+
 // TestWorkerLoss kills one worker and checks that a query fails fast with a
 // structured *ShardError naming the dead shard and carrying a retry hint —
 // no hang, no silently partial result.
 func TestWorkerLoss(t *testing.T) {
-	cl := startCluster(t, 2, synthFacts(300, 3), nil)
+	cl := startCluster(t, 2, testDomains, synthFacts(300, 3, testDomains))
 	if err := cl.workers[1].Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -342,21 +403,10 @@ func TestWorkerLoss(t *testing.T) {
 // dialing: the transient connect failures must be absorbed by retry with
 // backoff rather than surfacing.
 func TestConnectBackoff(t *testing.T) {
-	facts := synthFacts(200, 5)
 	dir := t.TempDir()
-	cfg := cubetree.Config{Dir: filepath.Join(dir, "wh"), Domains: testDomains}
-	docs, err := dist.Partition(facts, testAttrs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := cubetree.CSVRows(bytes.NewReader(docs[0]), dist.PartitionMeasure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wh, err := cubetree.Materialize(cfg, clusterViews(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wh := loadShards(t, dist.Facts(factAttrs, synthFacts(200, 5, testDomains)), 1, clusterViews(), func(int) cubetree.Config {
+		return cubetree.Config{Dir: filepath.Join(dir, "wh"), Domains: testDomains}
+	})[0]
 	defer wh.Close()
 
 	// Reserve an address, release it, and only re-listen after a delay; the
@@ -367,7 +417,7 @@ func TestConnectBackoff(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	wk := dist.NewWorker(cubetree.ShardBackend(wh), cubetree.ShardCSV, nil)
+	wk := dist.NewWorker(cubetree.ShardBackend(wh), nil)
 	defer wk.Close()
 	go func() {
 		time.Sleep(250 * time.Millisecond)
@@ -470,7 +520,7 @@ func TestOldProtocolWorkerRefused(t *testing.T) {
 // echoing the request ID, then close — and a coordinator handed that frame
 // must not retry either.
 func TestWorkerRefusesOtherVersion(t *testing.T) {
-	cl := startCluster(t, 1, synthFacts(50, 11), nil)
+	cl := startCluster(t, 1, testDomains, synthFacts(50, 11, testDomains))
 	conn, err := net.Dial("tcp", cl.addrs[0])
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,12 @@
 package dist
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
 
 	"cubetree/internal/cube"
 	"cubetree/internal/lattice"
+	"cubetree/internal/workload"
 )
 
 // ShardOf assigns a fact to one of n shards by FNV-1a over its key values
@@ -36,46 +35,34 @@ func ShardOf(vals []int64, n int) int {
 	return int(h % uint64(n))
 }
 
-// SortedAttrs returns the attribute names of a domain map in the canonical
-// sorted order used for hashing and CSV rendering.
-func SortedAttrs(domains map[lattice.Attr]int64) []lattice.Attr {
-	attrs := make([]lattice.Attr, 0, len(domains))
-	for a := range domains {
-		attrs = append(attrs, a)
+// ViewAttrs returns the attributes views read, sorted: the columns a fact
+// must carry, and the ones Partition hashes and ships. Coordinator and worker
+// both derive the list from the catalog, so they agree on it.
+func ViewAttrs(views []lattice.View) []lattice.Attr {
+	var attrs []lattice.Attr
+	for _, v := range views {
+		attrs = append(attrs, v.Attrs...)
 	}
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
-	return attrs
+	slices.Sort(attrs)
+	return slices.Compact(attrs)
 }
 
-// PartitionMeasure is the measure column name in partitioned CSV documents.
-const PartitionMeasure = "m"
-
-// Partition splits a fact stream into n per-shard CSV documents: a header
-// row naming attrs plus the measure column, then each fact rendered on the
-// shard ShardOf picked from its attribute values in attrs order. Shards
-// with no facts still get a header-only document, so every worker sees a
-// (possibly empty) delta. The same renderer feeds initial loads and refresh
-// deltas, keeping both sides of the hash consistent.
-func Partition(rows cube.RowIter, attrs []lattice.Attr, n int) ([][]byte, error) {
+// Partition splits a fact stream into n per-shard row sets: each fact becomes
+// a row whose Group holds its attrs values in attrs order, Sum its measure and
+// Count 1, on the shard ShardOf picked from those values. A shard with no
+// facts gets an empty slice. The same split feeds initial loads and refresh
+// deltas, keeping both sides of the hash consistent; Facts reads a slice back
+// as a fact stream.
+func Partition(rows cube.RowIter, attrs []lattice.Attr, n int) ([][]workload.Row, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("dist: partition into %d shards", n)
 	}
-	var header bytes.Buffer
-	for _, a := range attrs {
-		header.WriteString(string(a))
-		header.WriteByte(',')
+	if len(attrs) > maxRowSetDim {
+		return nil, fmt.Errorf("dist: partition over %d attributes, at most %d", len(attrs), maxRowSetDim)
 	}
-	header.WriteString(PartitionMeasure)
-	header.WriteByte('\n')
-
-	out := make([]*bytes.Buffer, n)
-	for i := range out {
-		out[i] = bytes.NewBuffer(nil)
-		out[i].Write(header.Bytes())
-	}
-	vals := make([]int64, len(attrs))
-	var line []byte
+	out := make([][]workload.Row, n)
 	for rows.Next() {
+		vals := make([]int64, len(attrs))
 		for i, a := range attrs {
 			v, err := rows.Value(a)
 			if err != nil {
@@ -83,23 +70,35 @@ func Partition(rows cube.RowIter, attrs []lattice.Attr, n int) ([][]byte, error)
 			}
 			vals[i] = v
 		}
-		line = line[:0]
-		for _, v := range vals {
-			line = strconv.AppendInt(line, v, 10)
-			line = append(line, ',')
-		}
-		line = strconv.AppendInt(line, rows.Measure(), 10)
-		line = append(line, '\n')
-		out[ShardOf(vals, n)].Write(line)
+		k := ShardOf(vals, n)
+		out[k] = append(out[k], workload.Row{Group: vals, Sum: rows.Measure(), Count: 1})
 	}
-	if ec, ok := rows.(interface{ Err() error }); ok {
-		if err := ec.Err(); err != nil {
-			return nil, err
-		}
+	if ec, ok := rows.(interface{ Err() error }); ok && ec.Err() != nil {
+		return nil, ec.Err()
 	}
-	docs := make([][]byte, n)
-	for i, b := range out {
-		docs[i] = b.Bytes()
-	}
-	return docs, nil
+	return out, nil
 }
+
+// Facts streams rows of the shape Partition returns as facts over attrs: a
+// worker feeds a decoded delta to BeginUpdate through it, and an in-process
+// shard is loaded through it.
+func Facts(attrs []lattice.Attr, rows []workload.Row) cube.RowIter {
+	return &facts{attrs: attrs, rows: rows}
+}
+
+type facts struct {
+	attrs []lattice.Attr
+	rows  []workload.Row
+	i     int
+}
+
+func (f *facts) Next() bool { f.i++; return f.i <= len(f.rows) }
+
+func (f *facts) Value(a lattice.Attr) (int64, error) {
+	if j := slices.Index(f.attrs, a); j >= 0 {
+		return f.rows[f.i-1].Group[j], nil
+	}
+	return 0, fmt.Errorf("dist: fact has no attribute %q", a)
+}
+
+func (f *facts) Measure() int64 { return f.rows[f.i-1].Sum }

@@ -1,16 +1,10 @@
 package dist_test
 
 import (
-	"bytes"
 	"context"
-	"fmt"
-	"net"
-	"path/filepath"
 	"testing"
-	"time"
 
 	"cubetree"
-	"cubetree/internal/dist"
 	"cubetree/internal/obs"
 	"cubetree/internal/workload"
 )
@@ -18,90 +12,6 @@ import (
 // traceDomains are wide enough that each shard's views span several leaf
 // pages, so zone-map pruning has something to skip.
 var traceDomains = map[cubetree.Attr]int64{"partkey": 200, "suppkey": 100, "custkey": 50}
-
-// traceFacts generates n deterministic facts over traceDomains.
-func traceFacts(n int, seed uint64) *memRows {
-	s := &memRows{cols: []cubetree.Attr{"partkey", "suppkey", "custkey"}}
-	state := seed ^ 0x9e3779b97f4a7c15
-	next := func() uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return state >> 16
-	}
-	for i := 0; i < n; i++ {
-		s.rows = append(s.rows, []int64{
-			int64(next()%200) + 1, int64(next()%100) + 1, int64(next()%50) + 1,
-		})
-		s.measure = append(s.measure, int64(next()%1000))
-	}
-	return s
-}
-
-// observedCluster is an n-shard live cluster where every process — the
-// coordinator and each worker — has its own observer, the shape needed to
-// follow one trace ID across all of them.
-type observedCluster struct {
-	coord     *dist.Coordinator
-	coordObs  *obs.Observer
-	workerObs []*obs.Observer
-	addrs     []string
-}
-
-func startObservedCluster(t *testing.T, n int, facts *memRows) *observedCluster {
-	t.Helper()
-	dir := t.TempDir()
-	cl := &observedCluster{coordObs: obs.New(obs.Options{})}
-	shardFacts := *facts
-	docs, err := dist.Partition(&shardFacts, testAttrs, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var workers []*dist.Worker
-	var whs []*cubetree.Warehouse
-	for i, doc := range docs {
-		src, err := cubetree.CSVRows(bytes.NewReader(doc), dist.PartitionMeasure)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wh, err := cubetree.Materialize(cubetree.Config{
-			Dir:     filepath.Join(dir, fmt.Sprintf("shard%d", i)),
-			Domains: traceDomains,
-		}, clusterViews(), src)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		whs = append(whs, wh)
-		wo := obs.New(obs.Options{})
-		wh.SetObserver(wo)
-		cl.workerObs = append(cl.workerObs, wo)
-		wk := dist.NewWorker(cubetree.ShardBackend(wh), cubetree.ShardCSV, wo)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go wk.Serve(ln)
-		workers = append(workers, wk)
-		cl.addrs = append(cl.addrs, ln.Addr().String())
-	}
-	cl.coord, err = dist.NewCoordinator(dist.CoordinatorConfig{
-		Shards:       cl.addrs,
-		Retries:      3,
-		RetryBackoff: 10 * time.Millisecond,
-		Obs:          cl.coordObs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cl.coord.Close()
-		for _, wk := range workers {
-			wk.Close()
-		}
-		for _, wh := range whs {
-			wh.Close()
-		}
-	})
-	return cl
-}
 
 // findTrace returns the spans in snaps tagged with the trace ID.
 func findTrace(snaps []obs.SpanSnapshot, tid string) []obs.SpanSnapshot {
@@ -119,7 +29,7 @@ func findTrace(snaps []obs.SpanSnapshot, tid string) []obs.SpanSnapshot {
 // span snapshots of the coordinator AND of every worker — the same query,
 // followed across three processes.
 func TestTraceIDEndToEndAcrossCluster(t *testing.T) {
-	cl := startObservedCluster(t, 2, traceFacts(8000, 3))
+	cl := startCluster(t, 2, traceDomains, synthFacts(8000, 3, traceDomains))
 	tid := obs.NewTraceID()
 	ctx := obs.WithTraceID(context.Background(), tid)
 	q := cubetree.Query{
@@ -166,7 +76,7 @@ func TestTraceIDEndToEndAcrossCluster(t *testing.T) {
 // nonzero zone-map and scan activity on a populated warehouse, and the
 // per-shard timings are consistent with the stitched root span.
 func TestProfiledDistributedQuery(t *testing.T) {
-	cl := startObservedCluster(t, 2, traceFacts(8000, 7))
+	cl := startCluster(t, 2, traceDomains, synthFacts(8000, 7, traceDomains))
 	tid := obs.NewTraceID()
 	ctx := obs.WithTraceID(context.Background(), tid)
 	q := cubetree.Query{
@@ -254,7 +164,7 @@ func TestProfiledDistributedQuery(t *testing.T) {
 // counters, the generation table shows zero skew, and the pool occupancy
 // gauges come through.
 func TestClusterInfoScrape(t *testing.T) {
-	cl := startObservedCluster(t, 2, traceFacts(4000, 5))
+	cl := startCluster(t, 2, traceDomains, synthFacts(4000, 5, traceDomains))
 	ctx := context.Background()
 	// Drive some traffic so worker counters are nonzero.
 	for i := 0; i < 3; i++ {

@@ -7,7 +7,7 @@
 // the merged result is identical to a single-process warehouse over the
 // union of the facts, regardless of how rows were assigned to shards.
 //
-// Refresh fans out per-shard CSV deltas in two phases: every worker
+// Refresh fans out per-shard row-set deltas in two phases: every worker
 // merge-packs its delta into a pending generation concurrently (queries
 // keep flowing against the old generations), then the coordinator commits
 // all shards inside one brief query-blocking window, so a scatter observes
@@ -31,11 +31,11 @@ const (
 	// Magic opens every frame: "CTDW" (CubeTree Distributed Wire).
 	Magic = 0x43544457
 	// Version is the protocol version carried in every frame header. Version
-	// 2 kept the header and made the query, rows, queryBatch and rowsBatch
-	// payloads binary (codec.go); every process of a cluster is the same
+	// 2 made the query-path payloads binary (codec.go), version 3 the
+	// refreshPrepare payload too; every process of a cluster is the same
 	// binary, so versions are not negotiated — a peer speaking another one is
 	// refused with a *VersionError.
-	Version = 2
+	Version = 3
 	// headerLen is the fixed frame header size: magic u32, version u8,
 	// type u8, request id u64, payload length u32, all big-endian.
 	headerLen = 18
@@ -58,7 +58,7 @@ const (
 	FrameQueryBatch
 	// FrameRowsBatch is the per-query partial results of a batch.
 	FrameRowsBatch
-	// FrameRefreshPrepare ships a shard's CSV delta; the worker sorts and
+	// FrameRefreshPrepare ships a shard's row-set delta; the worker sorts and
 	// merge-packs it into a pending generation and answers
 	// FrameRefreshPrepared without switching.
 	FrameRefreshPrepare
@@ -283,14 +283,6 @@ const (
 	// header carries another protocol version, before closing on it.
 	ErrCodeBadProtocol = "bad_protocol"
 )
-
-// refreshPreparePayload is FrameRefreshPrepare's body: the shard's slice of
-// the delta as a CSV document (header row naming attributes plus the
-// measure column).
-type refreshPreparePayload struct {
-	CSV     []byte `json:"csv"`
-	Measure string `json:"measure"`
-}
 
 // refreshPreparedPayload is FrameRefreshPrepared's body. NoOp marks an
 // empty delta: nothing was prepared and Generation is the shard's current

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -43,18 +42,12 @@ type Backend interface {
 	Stat() (points, bytes int64)
 }
 
-// CSVSource builds a cube.RowIter from a CSV document; the worker uses it
-// to parse refresh deltas. It is a constructor hook so the root package's
-// CSV reader can be injected without an import cycle.
-type CSVSource func(csv []byte, measure string) (cube.RowIter, error)
-
 // Worker serves one shard's warehouse over the wire protocol: one
 // goroutine per connection, one request in flight per connection. Refresh
 // frames (prepare/commit/abort) are serialized across connections; queries
 // run concurrently, against the old generation until a commit lands.
 type Worker struct {
 	backend Backend
-	csv     CSVSource
 	o       *obs.Observer
 
 	requestVec *obs.CounterVec
@@ -63,20 +56,19 @@ type Worker struct {
 	requests [frameTypeMax + 1]atomic.Pointer[obs.Counter]
 	errs     *obs.Counter
 
-	mu      sync.Mutex // guards conns, pending, ln
-	conns   map[net.Conn]struct{}
-	pending Pending
-	ln      net.Listener
+	mu    sync.Mutex // guards conns, ln
+	conns map[net.Conn]struct{}
+	ln    net.Listener
 
-	refreshMu sync.Mutex // serializes prepare/commit/abort
+	refreshMu sync.Mutex // serializes prepare/commit/abort, guards pending
+	pending   Pending
 	closed    atomic.Bool
 	wg        sync.WaitGroup
 }
 
-// NewWorker creates a worker over backend. csv parses refresh deltas
-// (pass the root package's CSV reader). o may be nil.
-func NewWorker(backend Backend, csv CSVSource, o *obs.Observer) *Worker {
-	w := &Worker{backend: backend, csv: csv, o: o, conns: map[net.Conn]struct{}{}}
+// NewWorker creates a worker over backend. o may be nil.
+func NewWorker(backend Backend, o *obs.Observer) *Worker {
+	w := &Worker{backend: backend, o: o, conns: map[net.Conn]struct{}{}}
 	if o != nil {
 		w.requestVec = o.Registry.CounterVec("dist_worker_requests_total", "type")
 		w.errs = o.Registry.Counter("dist_worker_errors_total")
@@ -134,10 +126,8 @@ func (w *Worker) Close() error {
 	w.wg.Wait()
 	w.refreshMu.Lock()
 	defer w.refreshMu.Unlock()
-	w.mu.Lock()
 	pending := w.pending
 	w.pending = nil
-	w.mu.Unlock()
 	if pending != nil {
 		return pending.Abort()
 	}
@@ -279,11 +269,12 @@ func (w *Worker) dispatch(f Frame, s *connScratch) ([]byte, error) {
 		return endFrame(appendRowsBatchReply(appendHeader(out, FrameRowsBatch, f.ID, 0),
 			w.backend.Generation(), results, &s.col))
 	case FrameRefreshPrepare:
-		var p refreshPreparePayload
-		if err := unmarshalJSON(f.Type, f.Payload, &p); err != nil {
+		attrs := ViewAttrs(w.backend.Views())
+		rows, err := decodeRefreshPrepare(f.Payload, attrs)
+		if err != nil {
 			return nil, badRequest(err)
 		}
-		return w.prepare(out, f.ID, p)
+		return w.prepare(out, f.ID, attrs, rows)
 	case FrameRefreshCommit:
 		var p refreshCommitPayload
 		if err := unmarshalJSON(f.Type, f.Payload, &p); err != nil {
@@ -293,10 +284,8 @@ func (w *Worker) dispatch(f Frame, s *connScratch) ([]byte, error) {
 	case FrameRefreshAbort:
 		w.refreshMu.Lock()
 		defer w.refreshMu.Unlock()
-		w.mu.Lock()
 		pending := w.pending
 		w.pending = nil
-		w.mu.Unlock()
 		if pending != nil {
 			if err := pending.Abort(); err != nil {
 				return nil, &wireError{code: ErrCodeRefresh, err: err}
@@ -342,35 +331,27 @@ func (w *Worker) dispatch(f Frame, s *connScratch) ([]byte, error) {
 	}
 }
 
-// prepare merge-packs the shard's delta into a pending generation. A
-// re-prepare supersedes any earlier pending refresh (the coordinator is
-// retrying from the top), and an empty delta is acked as a no-op at the
-// current generation.
-func (w *Worker) prepare(out []byte, id uint64, p refreshPreparePayload) ([]byte, error) {
+// prepare merge-packs the shard's delta, facts over attrs, into a pending
+// generation. A re-prepare supersedes any earlier pending refresh (the
+// coordinator is retrying from the top), and an empty delta is acked as a
+// no-op at the current generation.
+func (w *Worker) prepare(out []byte, id uint64, attrs []lattice.Attr, rows []workload.Row) ([]byte, error) {
 	w.refreshMu.Lock()
 	defer w.refreshMu.Unlock()
-	w.mu.Lock()
 	stale := w.pending
 	w.pending = nil
-	w.mu.Unlock()
 	if stale != nil {
 		stale.Abort()
 	}
-	if !csvHasRows(p.CSV) {
+	if len(rows) == 0 {
 		return appendJSONFrame(out, FrameRefreshPrepared, id, refreshPreparedPayload{
 			Generation: w.backend.Generation(), NoOp: true})
 	}
-	src, err := w.csv(p.CSV, p.Measure)
-	if err != nil {
-		return nil, badRequest(err)
-	}
-	pending, err := w.backend.BeginUpdate(src)
+	pending, err := w.backend.BeginUpdate(Facts(attrs, rows))
 	if err != nil {
 		return nil, &wireError{code: ErrCodeRefresh, err: err}
 	}
-	w.mu.Lock()
 	w.pending = pending
-	w.mu.Unlock()
 	return appendJSONFrame(out, FrameRefreshPrepared, id, refreshPreparedPayload{
 		Generation: pending.Generation()})
 }
@@ -383,17 +364,13 @@ func (w *Worker) prepare(out []byte, id uint64, p refreshPreparePayload) ([]byte
 func (w *Worker) commit(out []byte, id uint64, gen int) ([]byte, error) {
 	w.refreshMu.Lock()
 	defer w.refreshMu.Unlock()
-	w.mu.Lock()
 	pending := w.pending
-	w.mu.Unlock()
 	switch {
 	case pending != nil && pending.Generation() == gen:
 		if err := pending.Commit(); err != nil {
 			return nil, &wireError{code: ErrCodeRefresh, err: err}
 		}
-		w.mu.Lock()
 		w.pending = nil
-		w.mu.Unlock()
 	case pending == nil && w.backend.Generation() == gen:
 		// Already committed (or a no-op prepare): ack again.
 	default:
@@ -406,11 +383,4 @@ func (w *Worker) commit(out []byte, id uint64, gen int) ([]byte, error) {
 	}
 	return appendJSONFrame(out, FrameRefreshAck, id, refreshAckPayload{
 		Generation: w.backend.Generation()})
-}
-
-// csvHasRows reports whether a CSV document has any data row after the
-// header line.
-func csvHasRows(csv []byte) bool {
-	i := bytes.IndexByte(csv, '\n')
-	return i >= 0 && len(bytes.TrimSpace(csv[i+1:])) > 0
 }

@@ -144,7 +144,6 @@ func RunScaling(p ScalingParams) (Scaling, error) {
 
 	ds := tpcd.New(tpcd.Params{SF: p.SF, Seed: p.Seed})
 	domains := ds.Domains()
-	attrs := dist.SortedAttrs(domains)
 	views := []cubetree.View{
 		cubetree.NewView("top", tpcd.AttrPart, tpcd.AttrSupplier, tpcd.AttrCustomer),
 		cubetree.NewView("ps", tpcd.AttrPart, tpcd.AttrSupplier),
@@ -152,6 +151,7 @@ func RunScaling(p ScalingParams) (Scaling, error) {
 		cubetree.NewView("c", tpcd.AttrCustomer),
 		cubetree.NewView("all"),
 	}
+	attrs := dist.ViewAttrs(views)
 	// The batch is a reporting mix chosen to be scan-heavy but row-light:
 	// (part,custkey) has no dedicated view, so every slice of it aggregates
 	// the top view's leaves while returning only the sparse groups inside
@@ -197,7 +197,7 @@ func RunScaling(p ScalingParams) (Scaling, error) {
 			dir = filepath.Join(p.Dir, fmt.Sprintf("w%d", n))
 		}
 
-		docs, err := dist.Partition(&factRows{it: ds.FactRows()}, attrs, n)
+		parts, err := dist.Partition(&factRows{it: ds.FactRows()}, attrs, n)
 		if err != nil {
 			return out, fmt.Errorf("partition %d ways: %w", n, err)
 		}
@@ -217,24 +217,19 @@ func RunScaling(p ScalingParams) (Scaling, error) {
 				}
 			}
 		}
-		for i, doc := range docs {
-			src, err := cubetree.ShardCSV(doc, dist.PartitionMeasure)
-			if err != nil {
-				cleanup()
-				return out, err
-			}
+		for i, part := range parts {
 			stats[i] = &pager.Stats{}
 			whs[i], err = cubetree.Materialize(cubetree.Config{
 				Dir:       filepath.Join(dir, fmt.Sprintf("shard%d", i)),
 				Domains:   domains,
 				PoolPages: p.PoolPages,
 				Stats:     stats[i],
-			}, views, src)
+			}, views, dist.Facts(attrs, part))
 			if err != nil {
 				cleanup()
 				return out, fmt.Errorf("materialize shard %d/%d: %w", i, n, err)
 			}
-			workers[i] = dist.NewWorker(cubetree.ShardBackend(whs[i]), cubetree.ShardCSV, nil)
+			workers[i] = dist.NewWorker(cubetree.ShardBackend(whs[i]), nil)
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				cleanup()
@@ -332,21 +327,12 @@ func RunScaling(p ScalingParams) (Scaling, error) {
 			cleanup()
 			return out, err
 		}
-		if out.DeltaRows == 0 {
-			for it := ds.Increment(p.DeltaFrac, 1); it.Next(); {
-				out.DeltaRows++
-			}
-		}
+		out.DeltaRows = 0
 		var max, sum time.Duration
-		for i, doc := range delta {
-			src, err := cubetree.ShardCSV(doc, dist.PartitionMeasure)
-			if err != nil {
-				coord.Close()
-				cleanup()
-				return out, err
-			}
+		for i, part := range delta {
+			out.DeltaRows += len(part)
 			start := time.Now()
-			if err := whs[i].Update(src); err != nil {
+			if err := whs[i].Update(dist.Facts(attrs, part)); err != nil {
 				coord.Close()
 				cleanup()
 				return out, fmt.Errorf("refresh shard %d/%d: %w", i, n, err)

@@ -631,6 +631,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	}
 	counted := &countedRows{inner: src}
 	if err := s.store.Update(counted); err != nil {
+		// A fault in the delta fails Update before anything commits.
 		if src.Err() != nil {
 			writeError(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Sprintf("bad CSV delta: %v", src.Err()), 0)
@@ -639,21 +640,15 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error(), 0)
 		return
 	}
-	if err := src.Err(); err != nil {
-		// The iterator failed mid-stream and the engine treated it as EOF;
-		// the refresh that committed is from a truncated delta. Surface it.
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("bad CSV delta: %v", err), 0)
-		return
-	}
 	s.m.refreshes.Inc()
 	writeJSON(w, RefreshResponse{Generation: s.store.Generation(), Rows: counted.n})
 }
 
 // countedRows counts fact rows as they stream through, for the refresh
-// response.
+// response. It forwards Err, so the store sees a stream that ended on a bad
+// record as failed rather than finished.
 type countedRows struct {
-	inner cube.RowIter
+	inner *cubetree.CSVSource
 	n     int64
 }
 
@@ -666,6 +661,7 @@ func (c *countedRows) Next() bool {
 }
 func (c *countedRows) Value(a lattice.Attr) (int64, error) { return c.inner.Value(a) }
 func (c *countedRows) Measure() int64                      { return c.inner.Measure() }
+func (c *countedRows) Err() error                          { return c.inner.Err() }
 
 // appendCanonical appends a parsed statement's cache-key form to b:
 // projection labels, group-by node, equality and range predicates, and the

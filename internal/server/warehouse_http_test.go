@@ -210,6 +210,40 @@ func TestHTTPOldOrNewDuringRefresh(t *testing.T) {
 	}
 }
 
+// TestRefreshBadDeltaCommitsNothing posts CSV deltas the warehouse cannot
+// take whole — a bad record after good ones, a column the views read missing
+// — and checks each answers 400 bad_request with the generation and the
+// totals where they were: a refresh commits the whole delta or nothing.
+func TestRefreshBadDeltaCommitsNothing(t *testing.T) {
+	w := testWarehouse(t)
+	_, ts := newTestServer(t, w, Config{})
+	for name, body := range map[string]string{
+		"bad record": "partkey,suppkey,custkey,quantity\n1,1,1,100\n2,1,1,100\nx,1,1,5\n",
+		"no custkey": "partkey,suppkey,quantity\n1,1,5\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			res, err := http.Post(ts.URL+"/admin/refresh?measure=quantity", "text/csv", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Body.Close()
+			var envelope ErrorResponse
+			if err := json.NewDecoder(res.Body).Decode(&envelope); err != nil || res.StatusCode != http.StatusBadRequest ||
+				envelope.Error.Code != CodeBadRequest {
+				t.Fatalf("refresh = %d %+v (%v), want 400 %s", res.StatusCode, envelope, err, CodeBadRequest)
+			}
+			rows, err := w.QueryProfiledCtx(context.Background(), cubetree.Query{Node: []cubetree.Attr{}}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g := w.Generation(); g != 1 || rows[0].Sum != 30 || rows[0].Count != 6 {
+				t.Fatalf("after a refused delta: generation %d, sum %d, count %d; want 1, 30, 6",
+					g, rows[0].Sum, rows[0].Count)
+			}
+		})
+	}
+}
+
 // TestClientRetriesShedResponses: a 429 is retried until the server answers.
 func TestClientRetriesShedResponses(t *testing.T) {
 	var calls atomic.Int64
