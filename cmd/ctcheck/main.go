@@ -54,10 +54,10 @@ type treeScrub struct {
 	DurationNS   int64  `json:"duration_ns"`
 	Checksummed  bool   `json:"checksummed"`
 	// Leaf-format census from the decode-verify pass: leaf pages per
-	// layout (v1 = read-only row-major, v2 = columnar). Zero when the
-	// structural pass could not run.
-	V1Leaves uint64 `json:"v1_leaves,omitempty"`
+	// layout (v2 = read-only packed coordinates and raw measures, v3 = every
+	// column packed). Zero when the structural pass could not run.
 	V2Leaves uint64 `json:"v2_leaves,omitempty"`
+	V3Leaves uint64 `json:"v3_leaves,omitempty"`
 }
 
 func newScrub(out io.Writer) *scrub {
@@ -257,7 +257,7 @@ func (s *scrub) checkInvariants(dir string, verbose bool) bool {
 	}
 	damaged := false
 	for i := 0; i < f.Trees(); i++ {
-		// Decode-verify every leaf: node kinds must be known, and v2 column
+		// Decode-verify every leaf: node kinds must be known, and column
 		// blocks must parse in bounds with zone maps matching the decoded
 		// data. Validate already walked the points; this catches format-level
 		// corruption that still decodes to structurally valid points.
@@ -269,16 +269,16 @@ func (s *scrub) checkInvariants(dir string, verbose bool) bool {
 			continue
 		}
 		if i < len(s.trees) {
-			s.trees[i].V1Leaves = info.V1Leaves
 			s.trees[i].V2Leaves = info.V2Leaves
+			s.trees[i].V3Leaves = info.V3Leaves
 		}
-		if info.V1Leaves > 0 {
-			fmt.Fprintf(s.out, "note: tree %d holds %d read-only v1 leaves; the next refresh rewrites them as v2\n",
-				i, info.V1Leaves)
+		if info.V2Leaves > 0 {
+			fmt.Fprintf(s.out, "note: tree %d holds %d read-only v2 leaves; the next refresh rewrites them as v3\n",
+				i, info.V2Leaves)
 		}
 		if verbose {
-			fmt.Fprintf(s.out, "tree %d: %d v1 leaves, %d v2 leaves, %d points\n",
-				i, info.V1Leaves, info.V2Leaves, info.Points)
+			fmt.Fprintf(s.out, "tree %d: %d v2 leaves, %d v3 leaves, %d points\n",
+				i, info.V2Leaves, info.V3Leaves, info.Points)
 		}
 	}
 	if verbose {

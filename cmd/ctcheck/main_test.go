@@ -68,8 +68,8 @@ func TestLeafCensusIgnoresCatalogPackFormat(t *testing.T) {
 		t.Fatalf("clean warehouse flagged: %v\n%s", err, clean)
 	}
 	census := censusLines(string(clean))
-	if len(census) == 0 || !strings.Contains(census[0], " 0 v1 leaves, ") {
-		t.Fatalf("no all-v2 leaf census in the report:\n%s", clean)
+	if len(census) == 0 || !strings.Contains(census[0], ": 0 v2 leaves, ") {
+		t.Fatalf("no all-v3 leaf census in the report:\n%s", clean)
 	}
 
 	forestJSON := filepath.Join(whDir, "gen-000001", "forest.json")

@@ -3,13 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"math/bits"
 	"path/filepath"
 	"runtime/debug"
 	"testing"
 
 	"cubetree/internal/cube"
 	"cubetree/internal/lattice"
-	"cubetree/internal/pager"
+	"cubetree/internal/rtree"
 	"cubetree/internal/workload"
 )
 
@@ -125,6 +127,28 @@ func (c *flipCtx) Err() error {
 	return nil
 }
 
+// largestLeaf returns the most points any one leaf of tree holds: a search
+// over the whole space hands over every leaf as one batch of all its rows.
+func largestLeaf(t *testing.T, tree *rtree.Tree) int64 {
+	t.Helper()
+	lo, hi := make([]int64, tree.Dim()), make([]int64, tree.Dim())
+	for j := range hi {
+		lo[j], hi[j] = math.MinInt64, math.MaxInt64
+	}
+	var most int64
+	if err := tree.SearchLeaves(lo, hi, func(b *rtree.LeafBatch) error {
+		n := int64(0)
+		for _, w := range b.Sel {
+			n += int64(bits.OnesCount64(w))
+		}
+		most = max(most, n)
+		return nil
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	return most
+}
+
 // TestCancelMidScan cancels a 15 k-point band scan between two leaves: the
 // scan must stop at the next leaf boundary with the context's error, having
 // folded no more than the leaves it was allowed, and unpin everything.
@@ -146,8 +170,7 @@ func TestCancelMidScan(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || rows != nil {
 		t.Fatalf("cancelled scan returned %d rows, err %v", len(rows), err)
 	}
-	// A point carries two 8-byte measures, which bounds a leaf's points.
-	if maxLeaf := int64(pager.PageSize / 16); scanned == 0 || scanned > (k-1)*maxLeaf {
+	if maxLeaf := largestLeaf(t, f.trees[p.Tree]); scanned == 0 || scanned > (k-1)*maxLeaf {
 		t.Fatalf("scanned %d points; want within %d leaves of at most %d", scanned, k-1, maxLeaf)
 	}
 	if ctx.polls != k+1 {

@@ -47,7 +47,7 @@ const flagProfile = 1
 // extended slice: the row count, then — unless it is zero — the group width,
 // the extra-measure count and width+2+nextra columns (the group columns, Sum,
 // Count, the extras), each {base, bit width, packed deltas} in the
-// frame-of-reference codec of the v2 leaves (enc.AppendPackedColumn). A
+// frame-of-reference codec of the leaves (enc.AppendPackedColumn). A
 // column of a block of more than one row is at least one bit wide, constant
 // or not, which is what lets a decoder bound the rows it allocates by the
 // bytes it was handed. Rows must share their Group and Extra lengths, neither

@@ -8,9 +8,9 @@
 // codec is exact for the full int64 range (including blocks spanning
 // negative and positive values, whose delta range can exceed MaxInt64).
 //
-// The codec is deliberately dumb about layout: callers (the v2 R-tree leaf
-// format, tests) own headers, directories and zone maps, and hand this
-// package exactly the packed bytes of one column. Decoding offers three
+// The codec is deliberately dumb about layout: callers (the R-tree leaf
+// format, the shard wire's row-set block, tests) own headers, directories and
+// zone maps, and hand this package exactly the packed bytes of one column. Decoding offers three
 // shapes matched to the leaf scan's phases: full decode (UnpackColumn),
 // predicate evaluation on packed data into a selection bitmap
 // (FilterPackedRange), and late materialization of only the selected rows
@@ -134,6 +134,21 @@ func FillSelection(sel []uint64, n int) {
 	if tail := uint(n & 63); tail != 0 && len(sel) > 0 {
 		sel[len(sel)-1] = 1<<tail - 1
 	}
+}
+
+// SelectRange sets exactly bits [a, z) of sel, the starting state of a leaf
+// scan whose sorted columns have already narrowed it to a row range.
+func SelectRange(sel []uint64, a, z int) {
+	clear(sel)
+	if a >= z {
+		return
+	}
+	first, last := a>>6, (z-1)>>6
+	for w := first; w <= last; w++ {
+		sel[w] = ^uint64(0)
+	}
+	sel[first] &= ^uint64(0) << uint(a&63)
+	sel[last] &= ^uint64(0) >> uint(63-(z-1)&63)
 }
 
 // SelectionEmpty reports whether no bit of sel is set.

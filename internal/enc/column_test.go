@@ -216,3 +216,23 @@ func TestColumnBuilder(t *testing.T) {
 		t.Fatal("PopLast to empty should zero the zone map")
 	}
 }
+
+// TestSelectRange: SelectRange sets exactly the bits of [a, z), across word
+// boundaries and for empty ranges, whatever the bitmap held before.
+func TestSelectRange(t *testing.T) {
+	const n = 200
+	sel := make([]uint64, SelectionWords(n))
+	for a := 0; a <= n; a += 7 {
+		for z := a - 3; z <= n; z += 5 {
+			for i := range sel {
+				sel[i] = 0xa5a5a5a5a5a5a5a5
+			}
+			SelectRange(sel, a, max(z, 0))
+			for i := 0; i < len(sel)*64; i++ {
+				if got, want := sel[i/64]>>(i%64)&1 == 1, i >= a && i < z; got != want {
+					t.Fatalf("SelectRange(%d, %d): bit %d = %v", a, z, i, got)
+				}
+			}
+		}
+	}
+}

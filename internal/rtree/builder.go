@@ -40,10 +40,10 @@ type Builder struct {
 	prev     []int64
 	havePrev bool
 
-	// Leaves are buffered column-wise and written only when sealed, because
-	// the packed column widths are not known until then.
-	cols    []enc.ColumnBuilder
-	measBuf [][]int64
+	// Leaves are buffered column-wise — the arity coordinates, then the
+	// measures — and written only when sealed, because the packed column
+	// widths are not known until then.
+	cols []enc.ColumnBuilder
 
 	leaves []childEntry // MBR + page of every finished leaf, in order
 }
@@ -102,17 +102,21 @@ func (b *Builder) BeginRun(arity int) error {
 	if b.t.fanout > 1 {
 		b.leafCap = b.t.fanout
 	}
-	for len(b.cols) < arity {
+	for len(b.cols) < arity+b.t.measures {
 		b.cols = append(b.cols, enc.ColumnBuilder{})
 	}
-	for j := 0; j < arity; j++ {
+	b.cols = b.cols[:arity+b.t.measures]
+	for j := range b.cols {
 		b.cols[j].Reset()
 	}
 	b.curN = 0
 	b.runFirst = pager.InvalidPage
 	b.runLast = pager.InvalidPage
 	b.runPts = 0
-	b.prev = make([]int64, b.t.dim)
+	if cap(b.prev) < arity {
+		b.prev = make([]int64, arity)
+	}
+	b.prev = b.prev[:arity]
 	b.havePrev = false
 	return nil
 }
@@ -130,15 +134,15 @@ func (b *Builder) Add(coords []int64, measures []int64) error {
 	if len(measures) != b.t.measures {
 		return fmt.Errorf("rtree: point with %d measures, want %d", len(measures), b.t.measures)
 	}
-	full := make([]int64, b.t.dim)
-	copy(full, coords)
-	if b.havePrev && !packLess(b.prev, full) {
-		return fmt.Errorf("rtree: points out of pack order: %v then %v", b.prev, full)
+	// Coordinates beyond the run's arity are zero on every point of the
+	// run, so comparing the stored ones decides pack order.
+	if b.havePrev && !packLess(b.prev, coords) {
+		return fmt.Errorf("rtree: points out of pack order: %v then %v", b.prev, coords)
 	}
-	copy(b.prev, full)
+	copy(b.prev, coords)
 	b.havePrev = true
 
-	if err := b.addV2(coords, measures); err != nil {
+	if err := b.add(coords, measures); err != nil {
 		return err
 	}
 	b.runPts++
@@ -146,52 +150,45 @@ func (b *Builder) Add(coords []int64, measures []int64) error {
 	return nil
 }
 
-// addV2 buffers one point into the column builders, sealing the current
-// leaf when it would overflow the page: the just-added point is popped,
-// the remaining points are flushed, and the point reopens a fresh leaf.
-func (b *Builder) addV2(coords, measures []int64) error {
-	b.pushV2(coords, measures)
-	if b.curN > b.leafCap || v2EncodedSize(b.cols[:b.arity], b.curN, b.t.measures) > b.t.payload() {
-		b.popV2()
-		if b.curN == 0 {
-			return fmt.Errorf("rtree: point exceeds v2 leaf payload")
+// add buffers one point into the column builders, sealing the current leaf
+// when it would overflow the page: the just-added point is popped, the
+// remaining points are flushed, and the point reopens a fresh leaf.
+func (b *Builder) add(coords, measures []int64) error {
+	b.push(coords, measures)
+	if b.curN > b.leafCap || leafEncodedSize(b.cols, b.curN) > b.t.payload() {
+		for j := range b.cols {
+			b.cols[j].PopLast()
 		}
-		if err := b.flushLeafV2(); err != nil {
+		b.curN--
+		if b.curN == 0 {
+			return fmt.Errorf("rtree: point exceeds leaf payload")
+		}
+		if err := b.flushLeaf(); err != nil {
 			return err
 		}
-		b.pushV2(coords, measures)
-		if v2EncodedSize(b.cols[:b.arity], b.curN, b.t.measures) > b.t.payload() {
-			return fmt.Errorf("rtree: point exceeds v2 leaf payload")
+		b.push(coords, measures)
+		if leafEncodedSize(b.cols, b.curN) > b.t.payload() {
+			return fmt.Errorf("rtree: point exceeds leaf payload")
 		}
 	}
 	return nil
 }
 
-// pushV2 appends one point to the leaf buffers.
-func (b *Builder) pushV2(coords, measures []int64) {
-	for j := 0; j < b.arity; j++ {
-		b.cols[j].Append(coords[j])
+// push appends one point to the leaf's column builders.
+func (b *Builder) push(coords, measures []int64) {
+	for j, v := range coords {
+		b.cols[j].Append(v)
 	}
-	if b.curN < len(b.measBuf) {
-		copy(b.measBuf[b.curN], measures)
-	} else {
-		b.measBuf = append(b.measBuf, append([]int64(nil), measures...))
+	for m, v := range measures {
+		b.cols[b.arity+m].Append(v)
 	}
 	b.curN++
 }
 
-// popV2 removes the most recently pushed point.
-func (b *Builder) popV2() {
-	for j := 0; j < b.arity; j++ {
-		b.cols[j].PopLast()
-	}
-	b.curN--
-}
-
-// flushLeafV2 writes the buffered points as one v2 leaf page. The leaf MBR
-// comes straight from the column zone maps; coordinates beyond the run's
-// arity are zero.
-func (b *Builder) flushLeafV2() error {
+// flushLeaf writes the buffered points as one leaf page. The leaf MBR comes
+// straight from the coordinate columns' zone maps; coordinates beyond the
+// run's arity are zero.
+func (b *Builder) flushLeaf() error {
 	if b.curN == 0 {
 		return nil
 	}
@@ -199,7 +196,7 @@ func (b *Builder) flushLeafV2() error {
 	if err != nil {
 		return err
 	}
-	encodeV2Leaf(fr.Data(), b.cols[:b.arity], b.measBuf[:b.curN], b.t.measures)
+	encodeLeaf(fr.Data(), b.cols, b.arity)
 	lo := make([]int64, b.t.dim)
 	hi := make([]int64, b.t.dim)
 	for j := 0; j < b.arity; j++ {
@@ -213,7 +210,7 @@ func (b *Builder) flushLeafV2() error {
 	}
 	b.runLast = fr.ID()
 	b.pool.Unpin(fr, true)
-	for j := 0; j < b.arity; j++ {
+	for j := range b.cols {
 		b.cols[j].Reset()
 	}
 	b.curN = 0
@@ -225,7 +222,7 @@ func (b *Builder) EndRun() (RunInfo, error) {
 	if !b.inRun {
 		return RunInfo{}, fmt.Errorf("rtree: EndRun without BeginRun")
 	}
-	if err := b.flushLeafV2(); err != nil {
+	if err := b.flushLeaf(); err != nil {
 		return RunInfo{}, err
 	}
 	b.inRun = false
@@ -250,7 +247,7 @@ func (b *Builder) Finish() (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		initNode(fr.Data(), kindLeafV2, 0)
+		initNode(fr.Data(), kindLeafV3, 0)
 		t.root = fr.ID()
 		t.height = 1
 		t.leafLo, t.leafHi = fr.ID(), fr.ID()

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"errors"
+	"fmt"
 
 	"cubetree/internal/pager"
 )
@@ -38,8 +39,7 @@ type runIterator struct {
 	t        *Tree
 	next     pager.PageID
 	last     pager.PageID
-	fr       *pager.Frame
-	dec      leafDecoder
+	dec      leafDecoder // the current page, fully decoded
 	idx      int
 	coords   []int64
 	measures []int64
@@ -47,46 +47,38 @@ type runIterator struct {
 }
 
 func (it *runIterator) Next() ([]int64, []int64, error) {
+	for it.err == nil && it.idx >= it.dec.count() {
+		it.err = it.nextLeaf()
+	}
 	if it.err != nil {
 		return nil, nil, it.err
 	}
-	for {
-		if it.fr == nil {
-			if it.next > it.last {
-				it.err = ErrDone
-				return nil, nil, it.err
-			}
-			fr, err := it.t.pool.Fetch(it.next)
-			if err != nil {
-				it.err = err
-				return nil, nil, err
-			}
-			// Decode the page's format once; v2 leaves unpack their
-			// coordinate columns here rather than per point.
-			if err := it.t.readLeaf(fr.Data(), &it.dec); err != nil {
-				it.t.pool.Unpin(fr, false)
-				it.err = err
-				return nil, nil, err
-			}
-			it.fr = fr
-			it.idx = 0
-			it.next++
-		}
-		if it.idx < it.dec.count() {
-			it.dec.point(it.idx, it.coords, it.measures)
-			it.idx++
-			return it.coords, it.measures, nil
-		}
-		it.t.pool.Unpin(it.fr, false)
-		it.fr = nil
+	it.dec.point(it.idx, it.coords, it.measures)
+	it.idx++
+	return it.coords, it.measures, nil
+}
+
+// nextLeaf decodes the run's next page. The decoder copies every column out
+// of the page, so the frame is unpinned at once.
+func (it *runIterator) nextLeaf() error {
+	if it.next > it.last {
+		return ErrDone
 	}
+	fr, err := it.t.pool.Fetch(it.next)
+	if err != nil {
+		return err
+	}
+	err = it.t.readLeaf(fr.Data(), &it.dec)
+	it.t.pool.Unpin(fr, false)
+	if err != nil {
+		return fmt.Errorf("rtree: leaf %d: %w", it.next, err)
+	}
+	it.next++
+	it.idx = 0
+	return nil
 }
 
 func (it *runIterator) Close() error {
-	if it.fr != nil {
-		it.t.pool.Unpin(it.fr, false)
-		it.fr = nil
-	}
 	if it.err == nil || it.err == ErrDone {
 		return nil
 	}

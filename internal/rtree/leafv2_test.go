@@ -1,299 +1,265 @@
 package rtree
 
 import (
-	"math/rand"
-	"path/filepath"
+	"encoding/binary"
+	"fmt"
 	"slices"
 	"testing"
-	"testing/quick"
 
+	"cubetree/internal/enc"
 	"cubetree/internal/pager"
 )
 
-// buildFormatTree packs the same two-run point set (an arity-1 run and an
-// arity-2 run) through the Builder, or through the v1 reference writer.
-func buildFormatTree(t *testing.T, pool *pager.Pool, v1 bool, v1pts, v2pts [][]int64) *Tree {
-	t.Helper()
-	b := newPacker(t, pool, 2, Options{Measures: 2}, v1)
-	if err := b.BeginRun(1); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range v1pts {
-		if err := b.Add(p[:1], []int64{p[0] * 3, 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := b.EndRun(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.BeginRun(2); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range v2pts {
-		if err := b.Add(p, []int64{p[0] + p[1], 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := b.EndRun(); err != nil {
-		t.Fatal(err)
-	}
-	tree, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree
+// packer is what the format tests drive: the Builder, or the v2 reference
+// writer below.
+type packer interface {
+	BeginRun(arity int) error
+	Add(coords, measures []int64) error
+	EndRun() (RunInfo, error)
+	Finish() (*Tree, error)
 }
 
-// TestV1V2SearchEquivalence: for random point sets and rectangles, a v1 tree
-// and a v2 tree built from identical input return identical result sets —
-// coordinates and measures — in the style of TestPackedSearchEquivalenceQuick.
-func TestV1V2SearchEquivalence(t *testing.T) {
-	f := func(raw []uint16, rect [4]uint8) bool {
-		seen1 := map[int64]bool{}
-		seen2 := map[[2]int64]bool{}
-		var v1pts, v2pts [][]int64
-		for _, r := range raw {
-			x, y := int64(r%50)+1, int64(r/50%50)+1
-			if !seen1[x] {
-				seen1[x] = true
-				v1pts = append(v1pts, []int64{x})
-			}
-			if !seen2[[2]int64{x, y}] {
-				seen2[[2]int64{x, y}] = true
-				v2pts = append(v2pts, []int64{x, y})
-			}
-		}
-		sortPack(v1pts)
-		sortPack(v2pts)
-		t1 := buildFormatTree(t, newPool(t, 64), true, v1pts, v2pts)
-		t2 := buildFormatTree(t, newPool(t, 64), false, v1pts, v2pts)
-		if len(raw) > 0 {
-			i1, err1 := t1.ScrubLeaves()
-			i2, err2 := t2.ScrubLeaves()
-			if err1 != nil || err2 != nil || i1.V1Leaves == 0 || i1.V2Leaves != 0 || i2.V1Leaves != 0 || i2.V2Leaves == 0 {
-				return false
-			}
-		}
-		// Rectangles on the arity-2 plane and on the arity-1 axis (y pinned
-		// to 0 so the v8-style run is included).
-		rects := [][2][]int64{
-			{{int64(rect[0]%50) + 1, int64(rect[1]%50) + 1},
-				{int64(rect[0]%50) + 1 + int64(rect[2]%20), int64(rect[1]%50) + 1 + int64(rect[3]%20)}},
-			{{int64(rect[0]%50) + 1, 0}, {int64(rect[0]%50) + 1 + int64(rect[2]%20), 0}},
-			{{0, 0}, {60, 60}},
-		}
-		for _, rc := range rects {
-			if !slices.EqualFunc(searchAll(t, t1, rc[0], rc[1]), searchAll(t, t2, rc[0], rc[1]), slices.Equal[[]int64]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
+// v2Writer is the test-only reference writer of the read-only predecessor
+// layout: it hand-writes kindLeafV2 pages — a coordinate-only directory,
+// packed coordinate columns, then raw little-endian measures, measure-major —
+// exactly as every v2 release did, and hands their childEntrys to
+// Builder.Finish for the (format-neutral) index levels and meta page. The v2
+// read path is compared against trees it produces; nothing outside this file
+// can write v2.
+type v2Writer struct {
+	b    *Builder
+	cols []enc.ColumnBuilder // the open leaf's coordinate columns
+	meas [][]int64           // the open leaf's measures, row by row
 }
 
-// TestV2Persistence: a v2 tree survives close and reopen — Validate passes,
-// searches answer, and the scrub census finds v2 leaves only.
-func TestV2Persistence(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "v2.rt")
-	f, _ := pager.Create(path, nil)
-	pool := pager.NewPool(f, 64)
-	b, _ := NewBuilder(pool, 2, Options{})
-	b.BeginRun(2)
-	for i := int64(1); i <= 500; i++ {
-		b.Add([]int64{i, 1}, []int64{i * 10, 1})
-	}
-	b.EndRun()
-	tree, _ := b.Finish()
-	if err := tree.Close(); err != nil {
-		t.Fatal(err)
-	}
-	pool.Close()
-
-	f2, _ := pager.Open(path, nil)
-	pool2 := pager.NewPool(f2, 64)
-	defer pool2.Close()
-	tree2, err := Open(pool2)
+// newPacker returns the v2 reference writer or the Builder.
+func newPacker(tb testing.TB, pool *pager.Pool, dim int, opts Options, v2 bool) packer {
+	tb.Helper()
+	b, err := NewBuilder(pool, dim, opts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if err := tree2.Validate(); err != nil {
-		t.Fatal(err)
+	if v2 {
+		return &v2Writer{b: b}
 	}
-	var sum int64
-	tree2.Search([]int64{100, 1}, []int64{200, 1}, func(coords, m []int64) error {
-		if m[0] != coords[0]*10 {
-			t.Fatalf("measure %d at %v", m[0], coords)
-		}
-		sum += m[0]
-		return nil
-	})
-	if want := int64(10 * (100 + 200) * 101 / 2); sum != want {
-		t.Fatalf("sum = %d, want %d", sum, want)
-	}
-	info, err := tree2.ScrubLeaves()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.V1Leaves != 0 || info.V2Leaves == 0 || info.Points != 500 {
-		t.Fatalf("scrub info = %+v", info)
-	}
+	return b
 }
 
-// TestV1BackwardCompat: a file of v1 leaves (as every pre-v2 release wrote,
-// here from the reference writer) reopens, validates, scrubs and scans
-// correctly although nothing writes that layout any more.
-func TestV1BackwardCompat(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "v1.rt")
-	f, _ := pager.Create(path, nil)
-	pool := pager.NewPool(f, 64)
-	b := newPacker(t, pool, 3, Options{}, true)
-	b.BeginRun(3)
-	pts := make([][]int64, 0, 1000)
-	r := rand.New(rand.NewSource(11))
-	seen := map[[3]int64]bool{}
-	for len(pts) < 1000 {
-		p := [3]int64{r.Int63n(40) + 1, r.Int63n(40) + 1, r.Int63n(40) + 1}
-		if !seen[p] {
-			seen[p] = true
-			pts = append(pts, []int64{p[0], p[1], p[2]})
-		}
+func formatName(v2 bool) string {
+	if v2 {
+		return "v2"
 	}
-	sortPack(pts)
-	for _, p := range pts {
-		b.Add(p, []int64{p[0], 1})
-	}
-	b.EndRun()
-	tree, _ := b.Finish()
-	if err := tree.Close(); err != nil {
-		t.Fatal(err)
-	}
-	pool.Close()
-
-	f2, _ := pager.Open(path, nil)
-	pool2 := pager.NewPool(f2, 64)
-	defer pool2.Close()
-	tree2, err := Open(pool2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree2.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	info, err := tree2.ScrubLeaves()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.V2Leaves != 0 || info.V1Leaves == 0 {
-		t.Fatalf("scrub info = %+v", info)
-	}
-	got := 0
-	tree2.Search([]int64{1, 1, 1}, []int64{40, 40, 40}, func(coords, m []int64) error {
-		if m[0] != coords[0] {
-			t.Fatalf("measure %d at %v", m[0], coords)
-		}
-		got++
-		return nil
-	})
-	if got != len(pts) {
-		t.Fatalf("scan found %d of %d points", got, len(pts))
-	}
+	return "v3"
 }
 
-// TestScrubLeavesDetectsCorruption: ScrubLeaves fails on a v2 zone map that
-// disagrees with the decoded column, and on an unknown node kind.
-func TestScrubLeavesDetectsCorruption(t *testing.T) {
-	pool := newPool(t, 64)
-	b, _ := NewBuilder(pool, 1, Options{})
-	b.BeginRun(1)
-	for i := int64(1); i <= 300; i++ {
-		b.Add([]int64{i}, []int64{i, 1})
-	}
-	b.EndRun()
-	tree, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tree.ScrubLeaves(); err != nil {
-		t.Fatalf("clean tree failed scrub: %v", err)
-	}
-
-	corrupt := func(mutate func(b []byte)) error {
-		fr, err := pool.Fetch(tree.leafLo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mutate(fr.Data())
-		pool.Unpin(fr, true)
-		_, err = tree.ScrubLeaves()
+func (w *v2Writer) BeginRun(arity int) error {
+	if err := w.b.BeginRun(arity); err != nil {
 		return err
 	}
+	w.cols = make([]enc.ColumnBuilder, arity)
+	w.meas = w.meas[:0]
+	return nil
+}
 
-	// Bump the first column's zone-map min (bytes 8..16 of the directory
-	// entry hold min; entry starts right after the node header).
-	if err := corrupt(func(b []byte) { b[nodeHeaderSize]++ }); err == nil {
-		t.Fatal("scrub accepted a zone map that disagrees with the column")
+// size is the page bytes the open leaf needs as a v2 leaf.
+func (w *v2Writer) size() int {
+	size := nodeHeaderSize + len(w.cols)*colDescSize + len(w.meas)*w.b.t.measures*enc.FieldSize
+	for j := range w.cols {
+		size += w.cols[j].EncodedBytes()
 	}
-	if err := corrupt(func(b []byte) { b[nodeHeaderSize]-- }); err != nil {
-		t.Fatalf("scrub still failing after repair: %v", err)
+	return size
+}
+
+func (w *v2Writer) push(coords, measures []int64) {
+	for j, v := range coords {
+		w.cols[j].Append(v)
 	}
-	// Unknown node kind.
-	if err := corrupt(func(b []byte) { b[0] = 9 }); err == nil {
-		t.Fatal("scrub accepted an unknown leaf kind")
+	w.meas = append(w.meas, slices.Clone(measures))
+}
+
+// Add appends one point; callers supply pack order (Validate checks it).
+func (w *v2Writer) Add(coords, measures []int64) error {
+	b := w.b
+	if !b.inRun || len(coords) != b.arity || len(measures) != b.t.measures {
+		return fmt.Errorf("v2Writer: bad point %v %v", coords, measures)
 	}
-	if err := corrupt(func(b []byte) { b[0] = kindLeafV2 }); err != nil {
-		t.Fatalf("scrub still failing after kind repair: %v", err)
+	w.push(coords, measures)
+	if len(w.meas) > b.leafCap || w.size() > b.t.payload() {
+		for j := range w.cols {
+			w.cols[j].PopLast()
+		}
+		w.meas = w.meas[:len(w.meas)-1]
+		if err := w.seal(); err != nil {
+			return err
+		}
+		w.push(coords, measures)
 	}
-	// Out-of-range bit width in the directory.
-	if err := corrupt(func(b []byte) { b[nodeHeaderSize+16] = 65 }); err == nil {
-		t.Fatal("scrub accepted bit width 65")
+	b.runPts++
+	b.t.count++
+	return nil
+}
+
+// seal writes the open leaf as one v2 page and records its MBR for the index
+// levels.
+func (w *v2Writer) seal() error {
+	if len(w.meas) == 0 {
+		return nil
+	}
+	b := w.b
+	fr, err := b.pool.NewPage()
+	if err != nil {
+		return err
+	}
+	lo := make([]int64, b.t.dim)
+	hi := make([]int64, b.t.dim)
+	for j := range w.cols {
+		lo[j], hi[j] = w.cols[j].Min(), w.cols[j].Max()
+	}
+	encodeV2Leaf(fr.Data(), w.cols, w.meas)
+	for j := range w.cols {
+		w.cols[j].Reset()
+	}
+	w.meas = w.meas[:0]
+	b.leaves = append(b.leaves, childEntry{lo: lo, hi: hi, page: fr.ID()})
+	b.t.leafHi = fr.ID()
+	if b.runFirst == pager.InvalidPage {
+		b.runFirst = fr.ID()
+	}
+	b.runLast = fr.ID()
+	b.pool.Unpin(fr, true)
+	return nil
+}
+
+// encodeV2Leaf writes packed coordinate columns and row-major measures as
+// one v2 leaf into zeroed page payload b.
+func encodeV2Leaf(b []byte, cols []enc.ColumnBuilder, meas [][]int64) {
+	initNode(b, kindLeafV2, byte(len(cols)))
+	setNodeCount(b, len(meas))
+	off := nodeHeaderSize + len(cols)*colDescSize
+	for j := range cols {
+		c := &cols[j]
+		d := nodeHeaderSize + j*colDescSize
+		binary.LittleEndian.PutUint64(b[d:], uint64(c.Min()))
+		binary.LittleEndian.PutUint64(b[d+8:], uint64(c.Max()))
+		b[d+16] = byte(c.Width())
+		c.Encode(b[off : off+c.EncodedBytes()])
+		off += c.EncodedBytes()
+	}
+	for m := 0; len(meas) > 0 && m < len(meas[0]); m++ {
+		for _, row := range meas {
+			enc.PutField(b[off:], 0, row[m])
+			off += enc.FieldSize
+		}
 	}
 }
 
-// TestV2PacksDenser: on small-domain data, the columnar format stores
-// several times more points per leaf than the fixed-width v1 layout — the
-// space claim that retired the v1 writer.
-func TestV2PacksDenser(t *testing.T) {
-	build := func(v1 bool) *Tree {
-		pool := newPool(t, 256)
-		b := newPacker(t, pool, 3, Options{}, v1)
-		b.BeginRun(3)
-		r := rand.New(rand.NewSource(3))
-		pts := make([][]int64, 0, 20000)
-		seen := map[[3]int64]bool{}
-		for len(pts) < 20000 {
-			p := [3]int64{r.Int63n(100) + 1, r.Int63n(100) + 1, r.Int63n(100) + 1}
-			if !seen[p] {
-				seen[p] = true
-				pts = append(pts, []int64{p[0], p[1], p[2]})
+func (w *v2Writer) EndRun() (RunInfo, error) {
+	if err := w.seal(); err != nil {
+		return RunInfo{}, err
+	}
+	return w.b.EndRun() // nothing buffered: records the run placement only
+}
+
+func (w *v2Writer) Finish() (*Tree, error) { return w.b.Finish() }
+
+// searchAll collects every point of tree inside [lo, hi] as coords+measures.
+func searchAll(t *testing.T, tree *Tree, lo, hi []int64) [][]int64 {
+	t.Helper()
+	var out [][]int64
+	if err := tree.Search(lo, hi, func(c, m []int64) error {
+		out = append(out, append(append([]int64(nil), c...), m...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRefreshMigratesV2: merge-packing a v2 tree — with a delta that
+// collides and extends, and with an empty one — is the only migration there
+// is: the output holds no v2 leaf, passes the scrub (measure zone maps
+// included), validates, and answers every search exactly as a tree packed
+// from the reference point set.
+func TestRefreshMigratesV2(t *testing.T) {
+	deltas := map[string]*SlicePoints{
+		"delta": {
+			Coords:   [][]int64{{50, 1}, {101, 1}, {7, 3}},
+			Measures: [][]int64{{5, 1}, {7, 1}, {9, 1}},
+		},
+		"empty": {},
+	}
+	for name, delta := range deltas {
+		t.Run(name, func(t *testing.T) {
+			// Reference: the merged point set, folded by hand.
+			ref := map[[2]int64][2]int64{}
+			old := newPacker(t, newPool(t, 64), 2, Options{Fanout: 8}, true)
+			old.BeginRun(2)
+			for y := int64(1); y <= 2; y++ {
+				for x := int64(1); x <= 100; x++ {
+					if err := old.Add([]int64{x, y}, []int64{x, 1}); err != nil {
+						t.Fatal(err)
+					}
+					ref[[2]int64{x, y}] = [2]int64{x, 1}
+				}
 			}
-		}
-		sortPack(pts)
-		for _, p := range pts {
-			b.Add(p, []int64{p[0], 1})
-		}
-		b.EndRun()
-		tree, err := b.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tree
-	}
-	t1 := build(true)
-	t2 := build(false)
-	if t2.LeafPages() >= t1.LeafPages() {
-		t.Fatalf("v2 uses %d leaf pages, v1 %d: columnar packing saved nothing",
-			t2.LeafPages(), t1.LeafPages())
-	}
-	// 3 coords in ~7 bits each plus 2 raw measures vs 5×8 bytes: expect a
-	// large density win, not a marginal one.
-	d1 := float64(t1.Count()) / float64(t1.LeafPages())
-	d2 := float64(t2.Count()) / float64(t2.LeafPages())
-	if d2 < 1.8*d1 {
-		t.Fatalf("v2 density %.0f points/page vs v1 %.0f: expected >= 1.8x", d2, d1)
+			old.EndRun()
+			oldTree, err := old.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info, err := oldTree.ScrubLeaves(); err != nil || info.V2Leaves == 0 || info.V3Leaves != 0 {
+				t.Fatalf("old tree scrub = %+v, %v; want v2 leaves only", info, err)
+			}
+			for i, c := range delta.Coords {
+				k := [2]int64{c[0], c[1]}
+				ref[k] = [2]int64{ref[k][0] + delta.Measures[i][0], ref[k][1] + delta.Measures[i][1]}
+			}
+
+			nb, _ := NewBuilder(newPool(t, 64), 2, Options{Fanout: 8})
+			if err := nb.BeginRun(2); err != nil {
+				t.Fatal(err)
+			}
+			if err := MergeRun(nb, 2, oldTree.RunIterator(oldTree.Runs()[0]), delta, AddMeasures); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nb.EndRun(); err != nil {
+				t.Fatal(err)
+			}
+			merged, err := nb.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := merged.ScrubLeaves()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.V2Leaves != 0 || info.V3Leaves == 0 || info.Points != int64(len(ref)) {
+				t.Fatalf("merged scrub = %+v; want %d points in v3 leaves only", info, len(ref))
+			}
+			if err := merged.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			for _, rc := range [][2][]int64{
+				{{0, 0}, {200, 200}}, {{50, 1}, {50, 1}}, {{101, 1}, {101, 1}},
+				{{1, 2}, {100, 3}}, {{40, 1}, {60, 2}}, {{7, 3}, {7, 3}},
+			} {
+				var want [][]int64
+				for k, m := range ref {
+					if k[0] >= rc[0][0] && k[0] <= rc[1][0] && k[1] >= rc[0][1] && k[1] <= rc[1][1] {
+						want = append(want, []int64{k[0], k[1], m[0], m[1]})
+					}
+				}
+				slices.SortFunc(want, func(a, b []int64) int {
+					if packLess(a[:2], b[:2]) {
+						return -1
+					}
+					return 1
+				})
+				got := searchAll(t, merged, rc[0], rc[1])
+				if !slices.EqualFunc(got, want, slices.Equal[[]int64]) {
+					t.Fatalf("search %v: got %v, want %v", rc, got, want)
+				}
+			}
+		})
 	}
 }

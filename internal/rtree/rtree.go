@@ -33,7 +33,7 @@ const (
 	magic    = 0x43554254 // "CUBT"
 
 	kindInternal = 0
-	kindLeaf     = 1
+	kindLeaf     = 1 // v1 row-major leaves: recognized only to be refused
 
 	nodeHeaderSize = 8 // kind u8, arity/level u8, count u16, pad u32
 
@@ -258,7 +258,7 @@ type VisitLeaf func(b *LeafBatch) error
 // actually evaluated against the rectangle, and "skipped" when the page was
 // ruled out by its zone extent without decoding any point: pruned at its
 // parent by the entry rectangle (the leaf's zone boundaries hoisted into the
-// index), or pruned after a fetch by a v2 zone map, the arity check, or an
+// index), or pruned after a fetch by a leaf's zone map, the arity check, or an
 // empty page. Read + skipped therefore totals the leaf pages the search
 // considered, and skipped is the pages the zone maps saved. Counters
 // accumulate across calls so one stats value can cover a multi-tree plan.
@@ -332,14 +332,7 @@ func (t *Tree) search(pid pager.PageID, level int, lo, hi []int64, scratch *scan
 	b := fr.Data()
 	n := nodeCount(b)
 	if level == 1 {
-		switch nodeKind(b) {
-		case kindLeaf:
-			err = t.searchLeafV1(b, lo, hi, scratch, fn)
-		case kindLeafV2:
-			err = t.searchLeafV2(b, lo, hi, scratch, fn)
-		default:
-			err = fmt.Errorf("rtree: corrupt node %d: unknown leaf format (kind %d)", pid, nodeKind(b))
-		}
+		err = t.searchLeaf(b, lo, hi, scratch, fn)
 		t.pool.Unpin(fr, false)
 		return err
 	}
@@ -417,7 +410,7 @@ func (t *Tree) Validate() error {
 			}
 			coords := make([]int64, t.dim)
 			meas := make([]int64, t.measures)
-			for i := 0; i < n; i++ {
+			for i := 0; i < dec.count(); i++ {
 				dec.point(i, coords, meas)
 				if lo != nil && !pointInRect(coords, lo, hi) {
 					return fmt.Errorf("rtree: leaf %d point %v escapes parent MBR", pid, coords)

@@ -248,13 +248,16 @@ func TestEmptyRun(t *testing.T) {
 	}
 }
 
+// TestLargePackAndSearch packs 60k points: a leaf holds ~2k of them, and the
+// leaf share of the file only shows once the leaves outnumber the meta page
+// and the index levels by far.
 func TestLargePackAndSearch(t *testing.T) {
 	pool := newPool(t, 512)
 	b, _ := NewBuilder(pool, 3, Options{})
-	pts := make([][]int64, 0, 20000)
+	pts := make([][]int64, 0, 60000)
 	r := rand.New(rand.NewSource(5))
 	seen := map[[3]int64]bool{}
-	for len(pts) < 20000 {
+	for len(pts) < 60000 {
 		p := [3]int64{r.Int63n(100) + 1, r.Int63n(100) + 1, r.Int63n(100) + 1}
 		if seen[p] {
 			continue
@@ -278,7 +281,7 @@ func TestLargePackAndSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tree.Height() < 2 {
-		t.Fatalf("20k points, height %d", tree.Height())
+		t.Fatalf("60k points, height %d", tree.Height())
 	}
 	// Leaf domination: packed trees should be almost all leaves.
 	if ratio := float64(tree.LeafPages()) / float64(tree.Pages()); ratio < 0.85 {
@@ -487,5 +490,34 @@ func TestPackedSearchEquivalenceQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuilderAddAllocatesNothing: adding a point compares it with the last
+// one in pack order without widening either to the tree's dimension, and
+// buffers it into column builders that keep their capacity from leaf to
+// leaf, so packing costs no allocation per point.
+func TestBuilderAddAllocatesNothing(t *testing.T) {
+	b, err := NewBuilder(newPool(t, 64), 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.BeginRun(2); err != nil {
+		t.Fatal(err)
+	}
+	coords, measures := make([]int64, 2), make([]int64, 2)
+	add := func() {
+		coords[0]++
+		coords[1] = coords[0] / 1000
+		measures[0], measures[1] = coords[0], 1
+		if err := b.Add(coords, measures); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10000; i++ { // several leaves: the buffers reach full size
+		add()
+	}
+	if n := testing.AllocsPerRun(1000, add); n != 0 {
+		t.Fatalf("Builder.Add allocates %.0f times per point", n)
 	}
 }

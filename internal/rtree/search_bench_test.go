@@ -25,11 +25,11 @@ func sortPackB(points [][]int64) {
 }
 
 // BenchmarkSearchFormats compares point- and range-query latency over the
-// same data in v2 leaves and in read-only v1 leaves (reference writer).
+// same data in v3 leaves and in read-only v2 leaves (reference writer).
 func BenchmarkSearchFormats(b *testing.B) {
-	build := func(v1 bool) *Tree {
+	build := func(v2 bool) *Tree {
 		f := newPoolB(b, 512)
-		bd := newPacker(b, f, 3, Options{}, v1)
+		bd := newPacker(b, f, 3, Options{}, v2)
 		bd.BeginRun(3)
 		r := rand.New(rand.NewSource(3))
 		pts := make([][]int64, 0, 50000)
@@ -52,16 +52,16 @@ func BenchmarkSearchFormats(b *testing.B) {
 		}
 		return tree
 	}
-	for _, v1 := range []bool{true, false} {
-		tree := build(v1)
-		b.Run("point/"+formatName(v1), func(b *testing.B) {
+	for _, v2 := range []bool{true, false} {
+		tree := build(v2)
+		b.Run("point/"+formatName(v2), func(b *testing.B) {
 			r := rand.New(rand.NewSource(9))
 			for i := 0; i < b.N; i++ {
 				x := r.Int63n(200) + 1
 				tree.Search([]int64{x, x, 0}, []int64{x, x, 200}, func([]int64, []int64) error { return nil })
 			}
 		})
-		b.Run("range/"+formatName(v1), func(b *testing.B) {
+		b.Run("range/"+formatName(v2), func(b *testing.B) {
 			r := rand.New(rand.NewSource(9))
 			for i := 0; i < b.N; i++ {
 				x := r.Int63n(150) + 1

@@ -1,18 +1,19 @@
 package rtree
 
 import (
+	"errors"
 	"math/bits"
 	"slices"
 	"testing"
 )
 
 // buildStatsTree packs one arity-1 run (x in [1,xmax], y implicitly 0) and
-// one arity-2 run (the full [1,xmax]×[1,ymax] grid), as v2 leaves or through
-// the v1 reference writer — the same shared-index-space shape a forest tree
+// one arity-2 run (the full [1,xmax]×[1,ymax] grid), as v3 leaves or through
+// the v2 reference writer — the same shared-index-space shape a forest tree
 // has, big enough to span multiple leaf pages.
-func buildStatsTree(t *testing.T, v1 bool, xmax, ymax int) *Tree {
+func buildStatsTree(t *testing.T, v2 bool, xmax, ymax int) *Tree {
 	t.Helper()
-	b := newPacker(t, newPool(t, 256), 2, Options{Measures: 2}, v1)
+	b := newPacker(t, newPool(t, 256), 2, Options{Measures: 2}, v2)
 	if err := b.BeginRun(1); err != nil {
 		t.Fatal(err)
 	}
@@ -44,20 +45,55 @@ func buildStatsTree(t *testing.T, v1 bool, xmax, ymax int) *Tree {
 	return tree
 }
 
+// buildV1StatsTree is buildStatsTree with every leaf relabelled as the
+// retired v1 (row-major) kind, which this build recognizes only to refuse.
+func buildV1StatsTree(t *testing.T, xmax, ymax int) *Tree {
+	t.Helper()
+	tree := buildStatsTree(t, false, xmax, ymax)
+	for pid := tree.leafLo; pid <= tree.leafHi; pid++ {
+		fr, err := tree.pool.Fetch(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Data()[0] = kindLeaf
+		tree.pool.Unpin(fr, true)
+	}
+	return tree
+}
+
 // TestSearchStatsReadSkipAccounting pins the SearchStats contract: read +
 // skipped totals the leaf pages the search considered, skipped is the pages
 // the zone extents pruned without decoding, and a nil stats pointer changes
 // nothing about the results.
 func TestSearchStatsReadSkipAccounting(t *testing.T) {
-	for _, v1 := range []bool{true, false} {
-		t.Run(formatName(v1), func(t *testing.T) {
-			const xmax, ymax = 60, 60
-			tree := buildStatsTree(t, v1, xmax, ymax)
+	t.Run("v1", func(t *testing.T) {
+		// v1 leaves are no longer read: the search fails on the first leaf
+		// it reads, visits no point, and counts no page as read.
+		tree := buildV1StatsTree(t, 200, 200)
+		var st SearchStats
+		n := 0
+		err := tree.SearchWithStats([]int64{0, 0}, []int64{201, 201}, func(_, _ []int64) error {
+			n++
+			return nil
+		}, &st)
+		if !errors.Is(err, ErrLeafFormatTooOld) {
+			t.Fatalf("search over v1 leaves: %v, want ErrLeafFormatTooOld", err)
+		}
+		if n != 0 || st.LeafPagesRead != 0 {
+			t.Fatalf("search over v1 leaves visited %d points, stats %+v", n, st)
+		}
+	})
+	for _, v2 := range []bool{true, false} {
+		t.Run(formatName(v2), func(t *testing.T) {
+			// Big enough for several v3 leaves, small enough that the tree
+			// stays height 2 in v2.
+			const xmax, ymax = 200, 200
+			tree := buildStatsTree(t, v2, xmax, ymax)
 			info, err := tree.ScrubLeaves()
 			if err != nil {
 				t.Fatal(err)
 			}
-			leaves := int64(info.V1Leaves + info.V2Leaves)
+			leaves := int64(info.V2Leaves + info.V3Leaves)
 			if leaves < 4 {
 				t.Fatalf("test tree has only %d leaves; grow the grid", leaves)
 			}
@@ -122,15 +158,34 @@ func TestSearchStatsReadSkipAccounting(t *testing.T) {
 	}
 }
 
-// TestSearchLeavesBatches pins the batch form's contract in both formats:
-// one call per leaf that has a match and none for the rest, full-width
-// coordinate columns with zeros beyond the leaf's arity, and selected rows
-// that are exactly the points the per-point form visits, in the same order.
+// TestSearchLeavesBatches pins the batch form's contract in both readable
+// formats: one call per leaf that has a match and none for the rest,
+// full-width coordinate columns with zeros beyond the leaf's arity, and
+// selected rows that are exactly the points the per-point form visits, in the
+// same order. v1 leaves are refused.
 func TestSearchLeavesBatches(t *testing.T) {
-	for _, v1 := range []bool{true, false} {
-		t.Run(formatName(v1), func(t *testing.T) {
-			const xmax, ymax = 60, 60
-			tree := buildStatsTree(t, v1, xmax, ymax)
+	t.Run("v1", func(t *testing.T) {
+		// v1 leaves are no longer read: no batch is handed out, and the
+		// refusal is ErrLeafFormatTooOld, not a misread page.
+		tree := buildV1StatsTree(t, 200, 200)
+		batches := 0
+		err := tree.SearchLeaves([]int64{3, 0}, []int64{40, 9}, func(*LeafBatch) error {
+			batches++
+			return nil
+		}, nil)
+		if !errors.Is(err, ErrLeafFormatTooOld) {
+			t.Fatalf("SearchLeaves over v1 leaves: %v, want ErrLeafFormatTooOld", err)
+		}
+		if batches != 0 {
+			t.Fatalf("SearchLeaves over v1 leaves handed out %d batches", batches)
+		}
+	})
+	for _, v2 := range []bool{true, false} {
+		t.Run(formatName(v2), func(t *testing.T) {
+			// Big enough for several v3 leaves, small enough that the tree
+			// stays height 2 in v2.
+			const xmax, ymax = 200, 200
+			tree := buildStatsTree(t, v2, xmax, ymax)
 			// x in [3,40], y in [0,9]: part of the arity-1 run and a band of
 			// the arity-2 run.
 			lo, hi := []int64{3, 0}, []int64{40, 9}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cubetree"
+	"cubetree/internal/tpcd"
 )
 
 // sliceRows is an in-memory RowIter.
@@ -541,5 +542,34 @@ func TestMaterializeValidation(t *testing.T) {
 	cfg.Replicas = [][]cubetree.Attr{{"bogus"}}
 	if _, err := cubetree.Materialize(cfg, testViews(), facts()); err == nil {
 		t.Fatal("bogus replica accepted")
+	}
+}
+
+// TestBytesPerPoint pins the storage a stored point costs on the paper's
+// TPC-D configuration at SF 0.01: its six greedy views and the top view's
+// two replicas. Leaves pack every column, measures included, so a point
+// costs well under the 16 bytes its two measures would take raw.
+func TestBytesPerPoint(t *testing.T) {
+	ds := tpcd.New(tpcd.Params{SF: 0.01, Seed: 1998})
+	p, s, c := tpcd.AttrPart, tpcd.AttrSupplier, tpcd.AttrCustomer
+	cfg := cubetree.Config{
+		Dir:      filepath.Join(t.TempDir(), "wh"),
+		Domains:  ds.Domains(),
+		Replicas: [][]cubetree.Attr{{s, c, p}, {c, p, s}},
+	}
+	views := []cubetree.View{
+		cubetree.NewView("", p, s, c), cubetree.NewView("", p, s), cubetree.NewView("", c),
+		cubetree.NewView("", s), cubetree.NewView("", p), cubetree.NewView(""),
+	}
+	w, err := cubetree.Materialize(cfg, views, benchRows(ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	st := w.Stat()
+	bpp := float64(st.Bytes) / float64(st.Points)
+	t.Logf("%d bytes for %d points: %.2f B/point", st.Bytes, st.Points, bpp)
+	if bpp > 5.5 {
+		t.Fatalf("%.2f B/point, want <= 5.5", bpp)
 	}
 }
