@@ -367,10 +367,12 @@ var (
 // configurations at that workload's scale, so result assembly — the fold,
 // the sort and the row arenas behind a ≈ 15 k-point answer — can be profiled
 // from the root module: a 5 % partkey band grouped by {partkey,custkey}
-// (folds the partkey-major replica), a 5 % custkey band grouped by
-// {suppkey,custkey} (folds the top view), and the top view's own rows over a
-// 5 % suppkey band. The pool holds the working set; the miss path has its
-// own benchmarks.
+// (the partkey-major replica; folded run length, no sort), a 5 % custkey
+// band grouped by {suppkey,custkey} (the top view; run length, then sorted
+// on suppkey alone), and the top view's own rows over a 5 % suppkey band
+// (the suppkey-major replica; run length, then sorted on partkey alone).
+// core's TestFoldPlanPinned pins those plans. The pool holds the working
+// set; the miss path has its own benchmarks.
 func BenchmarkScanBand(b *testing.B) {
 	scanOnce.Do(func() {
 		if scanDir, scanErr = os.MkdirTemp("", "cubetree-bench-scan-"); scanErr != nil {

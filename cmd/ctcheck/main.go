@@ -8,8 +8,9 @@
 // structural and catalog invariants (packing order, MBR containment, point
 // totals) and decode-verifies every leaf, reporting the census of leaf
 // layouts actually on disk. It never modifies the warehouse. The exit status
-// is 0 when the warehouse is intact and 1 when any damage was found, so it
-// can gate backups and restarts in scripts. With -json the report is a
+// is 0 when the warehouse is intact and 1 when any damage was found or any
+// tree file could not be verified (one without page checksums), so it can
+// gate backups and restarts in scripts. With -json the report is a
 // single machine-readable document on stdout (the scrub metrics registry
 // snapshot plus the verdict), in the style of ctbench's -json artifacts.
 package main
@@ -207,7 +208,13 @@ func (s *scrub) scrubForest(dir string, verbose bool) bool {
 		}
 		s.filesScrubbed.Inc()
 		if !f.Checksummed() {
-			fmt.Fprintf(s.out, "note: %s predates page checksums; contents cannot be verified\n", name)
+			// Neither probed trailer (page 0, last page) carries the magic:
+			// the file predates page checksums, or both probes are damaged.
+			// Either way no page of it can be verified, and a file nobody
+			// can vouch for is not intact.
+			s.errors.Inc()
+			damaged = true
+			fmt.Fprintf(s.out, "error: %s carries no page checksums (it predates them, or the trailers of page 0 and the last page are both damaged); its contents cannot be verified\n", name)
 		}
 		bad := 0
 		start := time.Now()

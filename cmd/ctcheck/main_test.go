@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"cubetree"
+	"cubetree/internal/pager"
 )
 
 type sliceRows struct {
@@ -35,33 +37,9 @@ func (s *sliceRows) Measure() int64 { return s.measure[s.i-1] }
 // catalog still loads, the verdict stays clean, and the leaf census — the
 // only authority on what is on disk — is reported unchanged.
 func TestLeafCensusIgnoresCatalogPackFormat(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the ctcheck binary; skipped in -short")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
 	dir := t.TempDir()
-	whDir := filepath.Join(dir, "wh")
-	w, err := cubetree.Materialize(
-		cubetree.Config{Dir: whDir, Domains: map[cubetree.Attr]int64{"a": 4, "b": 4}},
-		[]cubetree.View{cubetree.NewView("ab", "a", "b"), cubetree.NewView("a", "a")},
-		&sliceRows{
-			cols:    []cubetree.Attr{"a", "b"},
-			rows:    [][]int64{{1, 1}, {2, 3}, {3, 2}, {4, 4}},
-			measure: []int64{5, 3, 4, 9},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	bin := filepath.Join(dir, "ctcheck")
-	if out, err := exec.Command("go", "build", "-o", bin, "cubetree/cmd/ctcheck").CombinedOutput(); err != nil {
-		t.Fatalf("go build ctcheck: %v\n%s", err, out)
-	}
+	bin := buildCtcheck(t, dir)
+	whDir := buildWarehouse(t, dir)
 
 	clean, err := exec.Command(bin, "-dir", whDir, "-v").CombinedOutput()
 	if err != nil {
@@ -100,6 +78,81 @@ func TestLeafCensusIgnoresCatalogPackFormat(t *testing.T) {
 		if got := censusLines(string(out)); strings.Join(got, "\n") != strings.Join(census, "\n") {
 			t.Fatalf("census moved with pack_format %s:\n%s\nwas:\n%s", stale, out, clean)
 		}
+	}
+}
+
+// buildWarehouse materializes a two-view warehouse under dir and returns
+// its directory.
+func buildWarehouse(t *testing.T, dir string) string {
+	t.Helper()
+	whDir := filepath.Join(dir, "wh")
+	w, err := cubetree.Materialize(
+		cubetree.Config{Dir: whDir, Domains: map[cubetree.Attr]int64{"a": 4, "b": 4}},
+		[]cubetree.View{cubetree.NewView("ab", "a", "b"), cubetree.NewView("a", "a")},
+		&sliceRows{
+			cols:    []cubetree.Attr{"a", "b"},
+			rows:    [][]int64{{1, 1}, {2, 3}, {3, 2}, {4, 4}},
+			measure: []int64{5, 3, 4, 9},
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return whDir
+}
+
+// buildCtcheck builds the scrubber into dir and returns the binary's path.
+func buildCtcheck(t *testing.T, dir string) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the ctcheck binary; skipped in -short")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	bin := filepath.Join(dir, "ctcheck")
+	if out, err := exec.Command("go", "build", "-o", bin, "cubetree/cmd/ctcheck").CombinedOutput(); err != nil {
+		t.Fatalf("go build ctcheck: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestUnverifiableTreeFails damages a tree file the way that opens it
+// unverified — the trailer magic of page 0 and of the last page, the two
+// pages pager.Open probes — plus one payload bit of another page. The
+// pager then reads the file as predating checksums, so no page of it is
+// verified; the scrubber must say so and exit 1, not report OK.
+func TestUnverifiableTreeFails(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildCtcheck(t, dir)
+	whDir := buildWarehouse(t, dir)
+	trees, err := filepath.Glob(filepath.Join(whDir, "gen-*", "tree*.ct"))
+	if err != nil || len(trees) == 0 {
+		t.Fatalf("no tree file under %s: %v", whDir, err)
+	}
+	raw, err := os.ReadFile(trees[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := len(raw) / pager.PageSize
+	if pages < 2 {
+		t.Fatalf("%s has %d pages; the recipe needs two probes", trees[0], pages)
+	}
+	raw[pager.PageSize-1] ^= 0xff          // page 0's trailer magic
+	raw[pages*pager.PageSize-1] ^= 0xff    // the last page's trailer magic
+	raw[(pages-1)*pager.PageSize+100] ^= 1 // a payload bit
+	if err := os.WriteFile(trees[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-dir", whDir).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("ctcheck on an unverifiable tree: %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "cannot be verified") || !strings.Contains(string(out), "DAMAGED") {
+		t.Fatalf("report does not flag the unverifiable tree:\n%s", out)
 	}
 }
 

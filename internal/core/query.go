@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"cubetree/internal/lattice"
@@ -166,11 +167,11 @@ const stackDims = 8
 // cancellation stops the scan within a page. st, when non-nil, accumulates
 // leaf read/skip counts for a query profile.
 //
-// Every shape goes through the one fold. When the view's dimensions are
-// exactly the group-by set no two points share a group, and when the
-// points' pack order is also the rows' canonical order (the node lists the
-// view's unfixed attributes in reverse) the fold sees ascending groups and
-// emits them without sorting.
+// The fold is planned from p's sort order (foldOrder). When the scan hands
+// over each group's points one after another, the fold is run length, with
+// no hash table, and the answer is radix-sorted on only the leading group
+// columns that storage order leaves out of canonical order (often none).
+// Otherwise every point is hashed and the answer sorted on every column.
 func (f *Forest) executeOn(ctx context.Context, p *Placement, q workload.Query, st *rtree.SearchStats) ([]workload.Row, int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -178,14 +179,14 @@ func (f *Forest) executeOn(ctx context.Context, p *Placement, q workload.Query, 
 	tree := f.trees[p.Tree]
 	dim, width := tree.Dim(), len(q.Node)
 	var rectBuf [2 * stackDims]int64
-	var posBuf [stackDims]int
+	var posBuf, majorBuf [stackDims]int
 	var colBuf [stackDims][]int64
-	rect, groupPos, cols := rectBuf[:], posBuf[:], colBuf[:]
+	rect, groupPos, major, cols := rectBuf[:], posBuf[:], majorBuf[:], colBuf[:]
 	if dim > stackDims || width > stackDims {
-		rect, groupPos, cols = make([]int64, 2*dim), make([]int, width), make([][]int64, width)
+		rect, groupPos, major, cols = make([]int64, 2*dim), make([]int, width), make([]int, width), make([][]int64, width)
 	}
 	lo, hi := rect[:dim], rect[dim:2*dim]
-	groupPos, cols = groupPos[:width], cols[:width]
+	groupPos, major, cols = groupPos[:width], major[:width], cols[:width]
 	arity := p.View.Arity()
 	for j := 0; j < arity; j++ {
 		attr := p.View.Attrs[j]
@@ -198,21 +199,14 @@ func (f *Forest) executeOn(ctx context.Context, p *Placement, q workload.Query, 
 	}
 	// Coordinates beyond the view's arity stay [0,0], confining the search
 	// to this view's region of the shared index space.
-	for i, a := range q.Node {
-		pos := -1
-		for j, va := range p.View.Attrs {
-			if a == va {
-				pos = j
-				break
-			}
-		}
-		if pos < 0 {
-			return nil, 0, fmt.Errorf("core: attribute %q missing from %s", a, p.View)
-		}
-		groupPos[i] = pos
+	if err := groupPositions(p, q, groupPos); err != nil {
+		return nil, 0, err
 	}
 
 	agg := workload.NewSchemaAggregator(width, f.schema)
+	if grouped, prefix := foldOrder(p, q, groupPos, major); grouped && !hashFoldOnly {
+		agg.FoldRuns(major, prefix)
+	}
 	var scanned int64
 	err := tree.SearchLeaves(lo, hi, func(b *rtree.LeafBatch) error {
 		if err := ctx.Err(); err != nil {
@@ -228,6 +222,81 @@ func (f *Forest) executeOn(ctx context.Context, p *Placement, q workload.Query, 
 		return nil, scanned, err
 	}
 	return agg.Rows(), scanned, nil
+}
+
+// groupPositions fills groupPos with the coordinate of each of q's group-by
+// attributes in p's view.
+func groupPositions(p *Placement, q workload.Query, groupPos []int) error {
+	for i, a := range q.Node {
+		pos := slices.Index(p.View.Attrs, a)
+		if pos < 0 {
+			return fmt.Errorf("core: attribute %q missing from %s", a, p.View)
+		}
+		groupPos[i] = pos
+	}
+	return nil
+}
+
+// hashFoldOnly sends every query through the hash fold, so tests can check
+// the run-length fold against it.
+var hashFoldOnly bool
+
+// foldOrder reports how p's scan hands q's points to the fold. A packed
+// run is sorted last coordinate major, the scan visits it in pack order,
+// and an equality predicate holds its coordinate constant. So when q's
+// unfixed group-by columns are exactly the most-major unfixed coordinates,
+// each group's points arrive one after another and the groups ascend in
+// storage-major order: grouped. major receives the group columns (indices
+// into q.Node, whose coordinates are groupPos) in that order, most major
+// first. prefix is the fewest leading group columns a stable sort of
+// storage-ordered cells must key on to reach canonical order, 0 when storage
+// order already is canonical. It allocates nothing.
+func foldOrder(p *Placement, q workload.Query, groupPos, major []int) (grouped bool, prefix int) {
+	arity := p.View.Arity()
+	if arity > 64 {
+		return false, 0
+	}
+	var fixed, inGroup uint64 // by coordinate
+	for j, attr := range p.View.Attrs {
+		if _, ok := q.FixedValue(attr); ok {
+			fixed |= 1 << j
+		}
+	}
+	// major: the group columns by descending coordinate (insertion sort).
+	for i, pos := range groupPos {
+		inGroup |= 1 << pos
+		k := i
+		for ; k > 0 && groupPos[major[k-1]] < pos; k-- {
+			major[k] = major[k-1]
+		}
+		major[k] = i
+	}
+	// grouped: walking the unfixed coordinates from the most major, the
+	// group's unfixed ones come before any other.
+	loose := inGroup &^ fixed
+	for j := arity - 1; j >= 0 && loose != 0; j-- {
+		if fixed&(1<<j) != 0 {
+			continue
+		}
+		if inGroup&(1<<j) == 0 {
+			return false, 0
+		}
+		loose &^= 1 << j
+	}
+	// prefix: the unfixed group columns after it must descend in coordinate
+	// from left to right, so that storage order sorts them canonically.
+	right := -1
+	for i := len(groupPos) - 1; i >= 0; i-- {
+		pos := groupPos[i]
+		if fixed&(1<<pos) != 0 {
+			continue
+		}
+		if pos < right {
+			return true, i + 1
+		}
+		right = pos
+	}
+	return true, 0
 }
 
 // PlanInfo describes which placement the planner would use for q, for

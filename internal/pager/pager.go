@@ -15,12 +15,15 @@
 // being served as wrong data. Files written before the trailer existed are
 // detected on Open (neither their page 0 nor their last page carries the
 // trailer magic) and are read without verification; see File.PayloadSize.
-// Two probes, because one damaged trailer must not switch verification off
+// Two probes, so that one damaged trailer does not switch verification off
 // for the whole file: when they disagree the file opens as checksummed and
-// the damaged page fails with ErrChecksum. The price is that a legacy file
-// whose bytes at a probe offset happen to spell the magic (2⁻³² per probe)
-// opens as checksummed and its reads fail with that typed error — never a
-// wrong row.
+// the damaged page fails with ErrChecksum. Two damaged probes do switch it
+// off: damage to both magics opens a checksummed file as legacy, and a
+// flipped payload bit elsewhere in it then reads as a wrong value. ctcheck
+// therefore fails any file that opens unverified. The other price is that a
+// legacy file whose bytes at a probe offset happen to spell the magic
+// (2⁻³² per probe) opens as checksummed and its reads fail with that typed
+// error.
 package pager
 
 import (

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -177,6 +178,142 @@ func TestAggregatorBatchMatchesPoints(t *testing.T) {
 	checkRows(t, agg.Rows(), refFold(schema, picked))
 }
 
+// sortMajor stably sorts obs into storage order: groups ascending in the
+// order that compares columns major[0], major[1], ….
+func sortMajor(obs []observation, major []int) {
+	slices.SortStableFunc(obs, func(a, b observation) int {
+		for _, j := range major {
+			if c := cmp.Compare(a.group[j], b.group[j]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+}
+
+// sortPrefix is the fewest leading columns a stable sort of cells in major
+// order must key on to reach canonical order: the columns after them must
+// appear in major in their own order.
+func sortPrefix(major []int) int {
+	rank := make([]int, len(major))
+	for k, j := range major {
+		rank[j] = k
+	}
+	for i := len(rank) - 2; i >= 0; i-- {
+		if rank[i] > rank[i+1] {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// permutation returns the permutation of 0 … n-1 numbered code (mod n!).
+func permutation(n int, code uint) []int {
+	left := make([]int, n)
+	for i := range left {
+		left[i] = i
+	}
+	perm := make([]int, 0, n)
+	for k := n; k > 0; k-- {
+		i := int(code % uint(k))
+		code /= uint(k)
+		perm = append(perm, left[i])
+		left = slices.Delete(left, i, i+1)
+	}
+	return perm
+}
+
+// foldRuns folds obs run length, per batch rows at a time through AddBatch.
+// Every selected row has an unselected neighbour holding a garbage group
+// and measures, which the fold must not see.
+func foldRuns(width int, schema lattice.Schema, obs []observation, major []int, prefix, batch int) []Row {
+	agg := NewSchemaAggregator(width, schema)
+	agg.FoldRuns(major, prefix)
+	for lo := 0; lo < len(obs); lo += batch {
+		part := obs[lo:min(lo+batch, len(obs))]
+		cols, meas := make([][]int64, width), make([][]int64, schema.Len())
+		for j := range cols {
+			cols[j] = make([]int64, 2*len(part))
+		}
+		for j := range meas {
+			meas[j] = make([]int64, 2*len(part))
+		}
+		sel := make([]uint64, (2*len(part)+63)/64)
+		for i, o := range part {
+			for j := range cols {
+				cols[j][2*i], cols[j][2*i+1] = o.group[j], math.MinInt64+int64(i)
+			}
+			for j := range meas {
+				meas[j][2*i], meas[j][2*i+1] = o.measures[j], math.MaxInt64
+			}
+			sel[i/32] |= 1 << (2 * i % 64)
+		}
+		agg.AddBatch(cols, meas, sel)
+	}
+	return agg.Rows()
+}
+
+// TestAggregatorRunsMatchReference feeds the run-length fold observations in
+// storage order for every major order of up to four columns, at batch
+// sizes from one row up, and once with the greatest observation moved to
+// the middle so that the fold must fall back to hashing part way.
+func TestAggregatorRunsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for sname, schema := range testSchemas(t) {
+		for width := 0; width <= 4; width++ {
+			perms := 1
+			for k := 2; k <= width; k++ {
+				perms *= k
+			}
+			for code := 0; code < perms; code++ {
+				major := permutation(width, uint(code))
+				for _, dup := range []float64{0, 0.9} {
+					for _, batch := range []int{1, 7, 200} {
+						for _, swap := range []bool{false, true} {
+							name := fmt.Sprintf("%s/w%d/major%v/dup%v/batch%d/swap%v", sname, width, major, dup, batch, swap)
+							t.Run(name, func(t *testing.T) {
+								obs := observations(rng, 300, width, 16, dup, schema)
+								sortMajor(obs, major)
+								if swap {
+									mid := len(obs) / 2
+									obs[mid], obs[len(obs)-1] = obs[len(obs)-1], obs[mid]
+								}
+								checkRows(t, foldRuns(width, schema, obs, major, sortPrefix(major), batch), refFold(schema, obs))
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFoldRunsRefusesBadOrders pins that FoldRuns ignores a major that is
+// no permutation of the group's columns, or a call after the first
+// observation, that AddMeasures turns a run-length fold into a hash fold,
+// and that the fold stays exact throughout.
+func TestFoldRunsRefusesBadOrders(t *testing.T) {
+	schema := lattice.DefaultSchema()
+	rng := rand.New(rand.NewSource(9))
+	obs := observations(rng, 200, 2, 8, 0.5, schema)
+	want := refFold(schema, obs)
+	for _, major := range [][]int{{0, 0}, {0}, {0, 2}, {1, -1}} {
+		checkRows(t, foldRuns(2, schema, obs, major, 0, 5), want)
+	}
+	agg := NewSchemaAggregator(2, schema)
+	agg.AddMeasures(obs[0].group, obs[0].measures)
+	agg.FoldRuns([]int{0, 1}, 0)
+	for _, o := range obs[1:] {
+		agg.AddMeasures(o.group, o.measures)
+	}
+	checkRows(t, agg.Rows(), want)
+	agg.FoldRuns([]int{0, 1}, 0)
+	for _, o := range obs {
+		agg.AddMeasures(o.group, o.measures)
+	}
+	checkRows(t, agg.Rows(), want)
+}
+
 // TestAggregatorReusableAfterRows pins that Rows leaves an empty aggregator.
 func TestAggregatorReusableAfterRows(t *testing.T) {
 	a := NewAggregator(1)
@@ -284,15 +421,22 @@ func cloneRows(rows []Row) []Row {
 	return out
 }
 
-// FuzzAggregator decodes the input as a width, a schema choice and a stream
-// of observations (values drawn small, huge and negative) and checks the
-// fold against the reference.
+// FuzzAggregator decodes the input as a width, a mode byte and a stream of
+// observations (values drawn small, huge and negative) and checks the fold
+// against the reference. The mode byte's bit 0 picks the schema. Bit 1
+// drives the run-length fold: the observations are sorted into a major
+// order that bits 3 to 7 pick, and folded three to a batch. Bit 2 then
+// swaps the first and last observation, which breaks the order the fold
+// was promised and makes it fall back to hashing.
 func FuzzAggregator(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 2, 3})
 	f.Add([]byte{2, 1, 5, 5, 1, 5, 5, 2, 4, 9, 3, 5, 5, 4})
 	f.Add([]byte{3, 0, 255, 0, 128, 1, 254, 127, 3, 2, 255, 0, 128, 9, 0, 0, 0, 1})
 	f.Add([]byte("\x05\x01the quick brown fox jumps over the lazy dog, twice over the lazy dog"))
+	f.Add([]byte{2, 0b1010, 5, 5, 1, 5, 5, 2, 4, 9, 3, 5, 5, 4, 1, 1, 1})
+	f.Add([]byte{3, 0b101111, 255, 0, 128, 1, 254, 127, 3, 2, 255, 0, 128, 9, 0, 0, 0, 1, 7, 7, 7, 7})
+	f.Add([]byte("\x04\x76the quick brown fox jumps over the lazy dog, twice over the lazy dog"))
 	minmax, err := lattice.NewSchema(lattice.AggMin, lattice.AggMax)
 	if err != nil {
 		f.Fatal(err)
@@ -301,9 +445,9 @@ func FuzzAggregator(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		width := int(data[0] % 6)
+		width, mode := int(data[0]%6), data[1]
 		schema := lattice.DefaultSchema()
-		if data[1]%2 == 1 {
+		if mode&1 == 1 {
 			schema = minmax
 		}
 		data = data[2:]
@@ -331,6 +475,15 @@ func FuzzAggregator(f *testing.F) {
 			obs = append(obs, o)
 			data = data[width+1:]
 		}
-		checkRows(t, foldWith(width, schema, obs), refFold(schema, obs))
+		if mode&2 == 0 {
+			checkRows(t, foldWith(width, schema, obs), refFold(schema, obs))
+			return
+		}
+		major := permutation(width, uint(mode>>3))
+		sortMajor(obs, major)
+		if mode&4 != 0 && len(obs) > 1 {
+			obs[0], obs[len(obs)-1] = obs[len(obs)-1], obs[0]
+		}
+		checkRows(t, foldRuns(width, schema, obs, major, sortPrefix(major), 3), refFold(schema, obs))
 	})
 }
