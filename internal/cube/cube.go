@@ -12,6 +12,7 @@ package cube
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -60,36 +61,23 @@ func (vd *ViewData) Width() int { return enc.TupleSize(vd.Fields()) }
 // Iterate calls fn with each decoded tuple in file order. The slice passed
 // to fn is reused between calls.
 func (vd *ViewData) Iterate(fn func(tuple []int64) error) error {
-	f, err := os.Open(vd.Path)
+	tr, err := vd.Open()
 	if err != nil {
-		return fmt.Errorf("cube: open view data: %w", err)
+		return err
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	width := vd.Width()
-	buf := make([]byte, width)
-	tuple := make([]int64, vd.Fields())
-	var bytes int64
+	defer tr.Close()
 	for {
-		_, err := io.ReadFull(r, buf)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			break
+		tuple, err := tr.Next()
+		if err == io.EOF {
+			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("cube: read view data: %w", err)
-		}
-		bytes += int64(width)
-		for i := range tuple {
-			tuple[i] = enc.Field(buf, i)
+			return err
 		}
 		if err := fn(tuple); err != nil {
 			return err
 		}
 	}
-	if vd.stats != nil {
-		vd.stats.AddSequentialReads(uint64((bytes + pager.PageSize - 1) / pager.PageSize))
-	}
-	return nil
 }
 
 // Remove deletes the backing file.
@@ -100,9 +88,10 @@ func (vd *ViewData) Bytes() int64 { return vd.Rows * int64(vd.Width()) }
 
 // Options tunes the computation.
 type Options struct {
-	// MemLimit bounds each external sorter's in-memory buffer (bytes). The
-	// sorter pipelines run generation with double buffering, so a sorter
-	// that spills holds up to 2x this limit while the spill is in flight.
+	// MemLimit bounds each external sorter's in-memory buffer (bytes; zero
+	// means extsort.DefaultMemLimit). The sorter pipelines run generation
+	// with double buffering, so a sorter that spills holds up to 2x this
+	// limit while the spill is in flight.
 	MemLimit int
 	// Stats receives the sequential I/O charge of the sort/aggregate
 	// pipeline. May be nil.
@@ -127,9 +116,6 @@ type Options struct {
 // holds the output and scratch files. A fact stream that ends on an error
 // fails Compute: no view is built from a truncated stream.
 func Compute(dir string, rows RowIter, views []lattice.View, opts Options) (map[string]*ViewData, error) {
-	if opts.MemLimit <= 0 {
-		opts.MemLimit = extsort.DefaultMemLimit
-	}
 	if opts.Stats == nil {
 		opts.Stats = &pager.Stats{}
 	}
@@ -409,15 +395,12 @@ func writeAggregated(dir string, v lattice.View, it extsort.Iterator, opts Optio
 	w := bufio.NewWriterSize(f, 1<<20)
 	arity := v.Arity()
 	width := enc.TupleSize(arity + opts.Schema.Len())
-	keyFields := make([]int, arity)
-	for i := range keyFields {
-		keyFields[i] = i
-	}
+	keyBytes := enc.TupleSize(arity) // the attributes lead each record
 	curM := make([]int64, opts.Schema.Len())
 	recM := make([]int64, opts.Schema.Len())
 	cur := make([]byte, width)
 	haveCur := false
-	var rows, bytes int64
+	var rows int64
 	flush := func() error {
 		if !haveCur {
 			return nil
@@ -426,7 +409,6 @@ func writeAggregated(dir string, v lattice.View, it extsort.Iterator, opts Optio
 			return err
 		}
 		rows++
-		bytes += int64(width)
 		return nil
 	}
 	for {
@@ -439,7 +421,7 @@ func writeAggregated(dir string, v lattice.View, it extsort.Iterator, opts Optio
 			os.Remove(f.Name())
 			return nil, err
 		}
-		if haveCur && enc.EqualFields(cur, rec, keyFields) {
+		if haveCur && bytes.Equal(cur[:keyBytes], rec[:keyBytes]) {
 			for i := range curM {
 				curM[i] = enc.Field(cur, arity+i)
 				recM[i] = enc.Field(rec, arity+i)
@@ -472,7 +454,7 @@ func writeAggregated(dir string, v lattice.View, it extsort.Iterator, opts Optio
 		os.Remove(f.Name())
 		return nil, err
 	}
-	opts.Stats.AddSequentialWrites(uint64((bytes + pager.PageSize - 1) / pager.PageSize))
+	opts.Stats.AddSequentialWrites(uint64((rows*int64(width) + pager.PageSize - 1) / pager.PageSize))
 	return &ViewData{View: v, Path: f.Name(), Rows: rows, Schema: opts.Schema, stats: opts.Stats}, nil
 }
 
@@ -506,9 +488,6 @@ func deriveView(dir string, child lattice.View, parent *ViewData, hs hierarchySe
 // be [attrs..., measures...]; they are sorted into the view's pack order
 // and re-aggregated (so duplicates are legal).
 func WriteTuples(dir string, v lattice.View, tuples [][]int64, opts Options) (*ViewData, error) {
-	if opts.MemLimit <= 0 {
-		opts.MemLimit = extsort.DefaultMemLimit
-	}
 	if opts.Stats == nil {
 		opts.Stats = &pager.Stats{}
 	}
@@ -531,9 +510,6 @@ func WriteTuples(dir string, v lattice.View, tuples [][]int64, opts Options) (*V
 // and re-sorted in the replica's pack order — the Datablade's data
 // replication scheme for storing a view in multiple sort orders.
 func Reorder(dir string, vd *ViewData, order []lattice.Attr, opts Options) (*ViewData, error) {
-	if opts.MemLimit <= 0 {
-		opts.MemLimit = extsort.DefaultMemLimit
-	}
 	if opts.Stats == nil {
 		opts.Stats = vd.stats
 	}

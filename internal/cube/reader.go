@@ -41,14 +41,15 @@ func (vd *ViewData) Open() (*TupleReader, error) {
 }
 
 // Next returns the next tuple, or io.EOF after the last one. The returned
-// slice is reused between calls.
+// slice is reused between calls. A file that ends inside a tuple was cut
+// short, and that is an error, not a shorter view.
 func (tr *TupleReader) Next() ([]int64, error) {
 	_, err := io.ReadFull(tr.r, tr.buf)
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
+	if err == io.EOF {
 		return nil, io.EOF
 	}
 	if err != nil {
-		return nil, fmt.Errorf("cube: read view data: %w", err)
+		return nil, fmt.Errorf("cube: read view data %s: %w", tr.f.Name(), err)
 	}
 	tr.bytes += int64(tr.width)
 	for i := range tr.tuple {

@@ -47,9 +47,6 @@ func AppendTuple(dst []byte, vals []int64) []byte {
 	return dst
 }
 
-// Less is a total order over encoded tuples.
-type Less func(a, b []byte) bool
-
 // CompareFields compares field i of a and b, returning -1, 0 or +1.
 func CompareFields(a, b []byte, i int) int {
 	av, bv := Field(a, i), Field(b, i)
@@ -63,26 +60,21 @@ func CompareFields(a, b []byte, i int) int {
 	}
 }
 
-// LessByFields returns a Less comparing the given fields in order. Fields
-// not listed do not participate in the order.
-func LessByFields(fields []int) Less {
-	order := append([]int(nil), fields...)
-	return func(a, b []byte) bool {
-		for _, f := range order {
-			if c := CompareFields(a, b, f); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	}
-}
+// Order is a lexicographic order over encoded tuples by the listed fields,
+// the first one major; fields not listed take no part. It is a value, not a
+// comparator: extsort reads its radix digits from the fields, and its run
+// merge compares them with Less.
+type Order []int
 
-// EqualFields reports whether a and b agree on every listed field.
-func EqualFields(a, b []byte, fields []int) bool {
-	for _, f := range fields {
-		if CompareFields(a, b, f) != 0 {
-			return false
+// LessByFields returns the Order over the given fields, the first major.
+func LessByFields(fields []int) Order { return append(Order(nil), fields...) }
+
+// Less reports whether a sorts strictly before b.
+func (o Order) Less(a, b []byte) bool {
+	for _, f := range o {
+		if av, bv := Field(a, f), Field(b, f); av != bv {
+			return av < bv
 		}
 	}
-	return true
+	return false
 }

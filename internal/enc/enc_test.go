@@ -65,46 +65,62 @@ func TestCompareFields(t *testing.T) {
 }
 
 func TestLessByFields(t *testing.T) {
-	less := LessByFields([]int{1, 0}) // second field major
+	fields := []int{1, 0} // second field major
+	order := LessByFields(fields)
+	fields[0] = 0 // the Order keeps its own copy
+	if len(order) != 2 || order[0] != 1 || order[1] != 0 {
+		t.Fatalf("order = %v, want [1 0]", order)
+	}
 	a := AppendTuple(nil, []int64{9, 1})
 	b := AppendTuple(nil, []int64{1, 2})
-	if !less(a, b) {
+	if !order.Less(a, b) {
 		t.Error("(9,1) should precede (1,2) when field 1 is major")
 	}
-	if less(b, a) {
+	if order.Less(b, a) {
 		t.Error("ordering not antisymmetric")
 	}
-	if less(a, a) {
+	if order.Less(a, a) {
 		t.Error("irreflexivity violated")
+	}
+	if LessByFields(nil).Less(a, b) || LessByFields([]int{}).Less(b, a) {
+		t.Error("an order over no fields holds every tuple equal")
 	}
 }
 
+// TestLessByFieldsTotalOrderQuick checks that Order.Less is a strict total
+// order over the listed fields that agrees with comparing them as signed
+// int64s, major first, and ignores the fields not listed.
 func TestLessByFieldsTotalOrderQuick(t *testing.T) {
-	less := LessByFields([]int{2, 1, 0})
-	f := func(x, y [3]int64) bool {
+	order := LessByFields([]int{2, 1, 0})
+	ref := func(x, y [4]int64) bool {
+		for _, f := range []int{2, 1, 0} {
+			if x[f] != y[f] {
+				return x[f] < y[f]
+			}
+		}
+		return false
+	}
+	f := func(x, y [4]int64) bool {
 		a := AppendTuple(nil, x[:])
 		b := AppendTuple(nil, y[:])
-		la, lb := less(a, b), less(b, a)
-		if x == y {
+		la, lb := order.Less(a, b), order.Less(b, a)
+		if la != ref(x, y) || lb != ref(y, x) {
+			return false
+		}
+		if x[0] == y[0] && x[1] == y[1] && x[2] == y[2] {
 			return !la && !lb
 		}
-		return la != lb // exactly one direction for distinct tuples
+		return la != lb // exactly one direction for distinct keys
+	}
+	extremes := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}
+	for _, u := range extremes {
+		for _, v := range extremes {
+			if !f([4]int64{u, v, u, 0}, [4]int64{v, u, u, 1}) {
+				t.Fatalf("disagrees with signed comparison at %d, %d", u, v)
+			}
+		}
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEqualFields(t *testing.T) {
-	a := AppendTuple(nil, []int64{1, 2, 3})
-	b := AppendTuple(nil, []int64{1, 9, 3})
-	if !EqualFields(a, b, []int{0, 2}) {
-		t.Error("fields 0,2 should be equal")
-	}
-	if EqualFields(a, b, []int{0, 1}) {
-		t.Error("field 1 differs")
-	}
-	if !EqualFields(a, b, nil) {
-		t.Error("empty field set is always equal")
 	}
 }

@@ -6,14 +6,15 @@ import (
 	"sync"
 
 	"cubetree/internal/enc"
+	"cubetree/internal/obs"
 	"cubetree/internal/pager"
 )
 
 // Parallel merge: when a sort spilled enough runs and the machine has spare
 // cores, the final k-way merge runs as a two-level tree. The runs are
-// partitioned into G groups; a worker per group merges its runs with the
-// ordinary heap mergeIterator and streams record blocks over a channel, and
-// the consumer heap-merges the G sorted streams record-at-a-time. The output
+// partitioned into G groups; a worker per group merges its runs with a
+// mergeIterator and streams record blocks over a channel, and the consumer
+// merges the G sorted streams, record at a time, with another. The output
 // order is the same total order a single k-way merge produces (ties between
 // equal keys are unspecified in both), and the counted sequential-transfer
 // total is identical: the consumer charges exactly the bytes it emitted, and
@@ -30,26 +31,17 @@ const (
 
 // newRunMerger merges spilled runs, splitting the merge across workers when
 // there are enough runs and cores for the tree to pay off.
-func newRunMerger(runs []string, width int, less enc.Less, stats *pager.Stats) (Iterator, error) {
+func newRunMerger(runs []string, width int, order enc.Order, stats *pager.Stats, span *obs.Span) (Iterator, error) {
 	g := mergeGroups(len(runs))
 	if g < parallelMergeMinGroups {
-		return newMergeIterator(runs, width, less, stats)
+		return newMergeIterator(runs, width, order, stats, span)
 	}
-	return newParallelMerge(runs, width, less, stats, g)
+	return newParallelMerge(runs, width, order, stats, span, g)
 }
 
 // mergeGroups picks the merge-tree fan-in: one group per core up to 8, and
 // never fewer than two runs per group (below that the tree is pure overhead).
-func mergeGroups(nruns int) int {
-	g := runtime.GOMAXPROCS(0)
-	if g > 8 {
-		g = 8
-	}
-	if g > nruns/2 {
-		g = nruns / 2
-	}
-	return g
-}
+func mergeGroups(nruns int) int { return min(runtime.GOMAXPROCS(0), 8, nruns/2) }
 
 // mergeBlock is one batch of records from a group worker, or its error.
 type mergeBlock struct {
@@ -57,37 +49,60 @@ type mergeBlock struct {
 	err  error
 }
 
-// groupStream is the consumer's view of one group worker's sorted output.
+// groupStream is the consumer's view of one group worker's sorted output:
+// a merge source that hands out the records of one block after another.
 type groupStream struct {
 	ch      chan mergeBlock
 	recycle chan []byte // consumed blocks back to the worker
 	cur     []byte      // current block; nil before the first receive
 	off     int         // offset of the current record in cur
-}
-
-// parallelMergeIterator heap-merges the sorted streams of G group workers.
-// It is single-consumer, like every Iterator in this package.
-type parallelMergeIterator struct {
-	streams []*groupStream // min-heap on each stream's current record
 	width   int
-	less    enc.Less
-	stats   *pager.Stats
-	bytes   int64
-	out     []byte
-	cancel  chan struct{}
-	wg      sync.WaitGroup
-	err     error
-	closed  bool
 }
 
-func newParallelMerge(runs []string, width int, less enc.Less, stats *pager.Stats, g int) (Iterator, error) {
-	pm := &parallelMergeIterator{
-		width:  width,
-		less:   less,
-		stats:  stats,
-		out:    make([]byte, width),
-		cancel: make(chan struct{}),
+func (st *groupStream) next() ([]byte, error) {
+	if st.cur != nil {
+		st.off += st.width
+		if st.off < len(st.cur) {
+			return st.cur[st.off : st.off+st.width], nil
+		}
+		select {
+		case st.recycle <- st.cur:
+		default:
+		}
+		st.cur = nil
 	}
+	blk, ok := <-st.ch
+	if !ok {
+		return nil, io.EOF
+	}
+	if blk.err != nil {
+		return nil, blk.err
+	}
+	st.cur, st.off = blk.data, 0
+	return st.cur[:st.width], nil
+}
+
+// close is a no-op: the worker owns the run files and releases them when
+// the parallel merge is closed.
+func (st *groupStream) close() error { return nil }
+
+// parallelMerge heap-merges the streams of G group workers with the same
+// mergeIterator that merges runs. It is single-consumer, like every
+// Iterator in this package.
+type parallelMerge struct {
+	*mergeIterator
+	cancel chan struct{}
+	wg     sync.WaitGroup
+	closed bool
+}
+
+func newParallelMerge(runs []string, width int, order enc.Order, stats *pager.Stats, span *obs.Span, g int) (Iterator, error) {
+	pm := &parallelMerge{cancel: make(chan struct{})}
+	stop := func() {
+		close(pm.cancel)
+		pm.wg.Wait()
+	}
+	var streams []source
 	for i := 0; i < g; i++ {
 		var sub []string
 		for j := i; j < len(runs); j += g {
@@ -96,38 +111,29 @@ func newParallelMerge(runs []string, width int, less enc.Less, stats *pager.Stat
 		// The group iterator gets a throwaway Stats: the consumer charges
 		// the real one for exactly the bytes it emits, which keeps the
 		// counted total byte-for-byte identical to a serial merge.
-		m, err := newMergeIterator(sub, width, less, &pager.Stats{})
+		m, err := newMergeIterator(sub, width, order, &pager.Stats{}, nil)
 		if err != nil {
-			pm.Close()
+			stop()
+			span.End()
 			return nil, err
 		}
-		st := &groupStream{ch: make(chan mergeBlock, 1), recycle: make(chan []byte, 2)}
-		pm.streams = append(pm.streams, st)
+		st := &groupStream{ch: make(chan mergeBlock, 1), recycle: make(chan []byte, 2), width: width}
+		streams = append(streams, st)
 		pm.wg.Add(1)
 		go pm.feed(m, st)
 	}
-	// Prime every stream, dropping those that are empty, then heapify.
-	streams := pm.streams
-	pm.streams = pm.streams[:0]
-	for _, st := range streams {
-		ok, err := pm.advanceStream(st)
-		if err != nil {
-			pm.Close()
-			return nil, err
-		}
-		if ok {
-			pm.streams = append(pm.streams, st)
-		}
+	m, err := newMerge(streams, width, order, stats, span)
+	if err != nil {
+		stop()
+		return nil, err
 	}
-	for i := len(pm.streams)/2 - 1; i >= 0; i-- {
-		pm.siftDown(i)
-	}
+	pm.mergeIterator = m
 	return pm, nil
 }
 
 // feed merges one group of runs and streams the records to the consumer in
 // blocks. It owns m and closes it (run files are removed) on the way out.
-func (pm *parallelMergeIterator) feed(m *mergeIterator, st *groupStream) {
+func (pm *parallelMerge) feed(m *mergeIterator, st *groupStream) {
 	defer pm.wg.Done()
 	defer m.Close()
 	defer close(st.ch)
@@ -137,9 +143,9 @@ func (pm *parallelMergeIterator) feed(m *mergeIterator, st *groupStream) {
 		case b := <-st.recycle:
 			blk = b[:0]
 		default:
-			blk = make([]byte, 0, mergeBlockRecords*pm.width)
+			blk = make([]byte, 0, mergeBlockRecords*st.width)
 		}
-		for len(blk) < mergeBlockRecords*pm.width {
+		for len(blk) < mergeBlockRecords*st.width {
 			rec, err := m.Next()
 			if err == io.EOF {
 				if len(blk) > 0 {
@@ -167,90 +173,14 @@ func (pm *parallelMergeIterator) feed(m *mergeIterator, st *groupStream) {
 	}
 }
 
-// advanceStream steps st to its next record, receiving the next block when
-// the current one is drained. It reports false when the stream is finished.
-func (pm *parallelMergeIterator) advanceStream(st *groupStream) (bool, error) {
-	if st.cur != nil {
-		st.off += pm.width
-		if st.off < len(st.cur) {
-			return true, nil
-		}
-		select {
-		case st.recycle <- st.cur:
-		default:
-		}
-		st.cur = nil
-	}
-	blk, ok := <-st.ch
-	if !ok {
-		return false, nil
-	}
-	if blk.err != nil {
-		return false, blk.err
-	}
-	st.cur = blk.data
-	st.off = 0
-	return true, nil
-}
-
-func (pm *parallelMergeIterator) rec(st *groupStream) []byte {
-	return st.cur[st.off : st.off+pm.width]
-}
-
-func (pm *parallelMergeIterator) Next() ([]byte, error) {
-	if pm.err != nil {
-		return nil, pm.err
-	}
-	if len(pm.streams) == 0 {
-		return nil, io.EOF
-	}
-	top := pm.streams[0]
-	copy(pm.out, pm.rec(top))
-	pm.bytes += int64(pm.width)
-	ok, err := pm.advanceStream(top)
-	if err != nil {
-		pm.err = err
-		return nil, err
-	}
-	if !ok {
-		n := len(pm.streams) - 1
-		pm.streams[0] = pm.streams[n]
-		pm.streams = pm.streams[:n]
-	}
-	if len(pm.streams) > 0 {
-		pm.siftDown(0)
-	}
-	return pm.out, nil
-}
-
-func (pm *parallelMergeIterator) siftDown(i int) {
-	s := pm.streams
-	for {
-		min := i
-		if l := 2*i + 1; l < len(s) && pm.less(pm.rec(s[l]), pm.rec(s[min])) {
-			min = l
-		}
-		if r := 2*i + 2; r < len(s) && pm.less(pm.rec(s[r]), pm.rec(s[min])) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-}
-
 // Close stops the group workers, waits for them to release their run files,
 // and charges the records actually delivered as sequential page reads.
-func (pm *parallelMergeIterator) Close() error {
+func (pm *parallelMerge) Close() error {
 	if pm.closed {
 		return nil
 	}
 	pm.closed = true
 	close(pm.cancel)
 	pm.wg.Wait()
-	pm.streams = nil
-	pm.stats.AddSequentialReads(uint64((pm.bytes + pager.PageSize - 1) / pager.PageSize))
-	return nil
+	return pm.mergeIterator.Close()
 }
